@@ -365,6 +365,19 @@ void cache_aligned_free(void* p) {
 #endif
 }
 
+void cache_aligned_release(void* p) {
+  if (p == nullptr) return;
+#if CCOVID_ALLOC_CACHE_COMPILED
+  if (header_of(p)->kind == kKindAligned) {
+    std::free(static_cast<char*>(p) - 64);
+    return;
+  }
+  cached_delete(p);
+#else
+  std::free(p);
+#endif
+}
+
 }  // namespace ccovid
 
 #if CCOVID_ALLOC_CACHE_COMPILED

@@ -53,4 +53,8 @@ AllocCacheStats alloc_cache_stats();
 void* cache_aligned_alloc(std::size_t bytes);
 void cache_aligned_free(void* p);
 
+/// Frees a cache_aligned_alloc block straight to the system heap,
+/// bypassing the pool — for large blocks whose size will not recur.
+void cache_aligned_release(void* p);
+
 }  // namespace ccovid

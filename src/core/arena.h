@@ -26,9 +26,13 @@
 //    shared im2col staging area) may be read/written by workers inside
 //    the loop — the arena only dictates who frees, not who touches.
 //
-// Chunks grow geometrically and are never returned to the heap while
-// the thread lives, so a fixed workload reaches a fixed footprint and
-// stays there.
+// While scratch is live, chunks grow geometrically. A request that finds
+// the arena EMPTY and fits no chunk instead replaces every chunk with
+// one that fits it, handing the old ones back to the system. So a
+// thread that alternates whole-run blocks (each compiled graph takes
+// its scratch as one block) holds the largest block, not their sum.
+// Chunks are otherwise kept while the thread lives, so a fixed workload
+// reaches a fixed footprint and stays there.
 #pragma once
 
 #include <cstddef>
@@ -48,15 +52,15 @@ class ScratchArena {
   };
 
   ScratchArena() = default;
-  ~ScratchArena() {
-    for (Chunk& c : chunks_) cache_aligned_free(c.data);
-  }
+  ~ScratchArena() { release(); }
   ScratchArena(const ScratchArena&) = delete;
   ScratchArena& operator=(const ScratchArena&) = delete;
 
   /// 64-byte-aligned scratch block; contents are uninitialized.
   void* alloc(std::size_t bytes) {
     bytes = (bytes + 63) & ~std::size_t{63};
+    const bool empty =
+        active_ == 0 && (chunks_.empty() || chunks_[0].top == 0);
     while (active_ < chunks_.size()) {
       Chunk& c = chunks_[active_];
       if (c.top + bytes <= c.cap) {
@@ -68,6 +72,8 @@ class ScratchArena {
       ++active_;
       chunks_[active_].top = 0;
     }
+    // Nothing is live, so no pointer pins the old chunks.
+    if (empty) release();
     grow(bytes);
     Chunk& c = chunks_[active_];
     void* p = c.data;
@@ -117,6 +123,14 @@ class ScratchArena {
     chunks_.push_back(
         Chunk{static_cast<char*>(cache_aligned_alloc(cap)), cap, 0});
     active_ = chunks_.size() - 1;
+  }
+
+  /// Returns every chunk to the system heap, not the block pool: an
+  /// outgrown chunk's size is unlikely to be requested again.
+  void release() {
+    for (Chunk& c : chunks_) cache_aligned_release(c.data);
+    chunks_.clear();
+    active_ = 0;
   }
 
   static constexpr std::size_t kInitialChunk = 256 * 1024;

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/arena.h"
@@ -15,6 +16,7 @@
 #include "core/precision.h"
 #include "core/simd.h"
 #include "graph/graph.h"
+#include "ops/batchnorm.h"
 #include "trace/trace.h"
 
 namespace ccovid::graph {
@@ -43,6 +45,12 @@ struct Step {
   std::vector<real_t> scale, shift;
   int act = 0;
   real_t slope = 0.0f;
+
+  // Instance-norm epilogue (fp32 only): per-channel gamma/beta; the
+  // scale/shift come from each plane's own statistics at run time.
+  bool inorm = false;
+  std::vector<real_t> gamma, beta;
+  real_t eps = 0.0f;
 
   // Pool / unpool constants.
   ops::Pool2dParams pool{};
@@ -92,6 +100,52 @@ void hoist_bn_constants(const Node& bn, std::vector<real_t>* scale,
   }
 }
 
+/// Gives step `s` the normalization of node `bn`: hoisted constants for
+/// a frozen batch-norm, the per-plane recipe for an instance norm.
+void take_norm(const Node& bn, Step* s) {
+  if (bn.kind == OpKind::kBatchNorm) {
+    hoist_bn_constants(bn, &s->scale, &s->shift);
+    s->has_affine = true;
+    return;
+  }
+  const index_t c = bn.gamma.dim(0);
+  s->gamma.assign(bn.gamma.data(), bn.gamma.data() + c);
+  s->beta.assign(bn.beta.data(), bn.beta.data() + c);
+  s->eps = bn.eps;
+  s->inorm = true;
+}
+
+/// The (scale, shift) a norm step applies to plane `x` of channel c.
+/// Instance norm derives them from the plane itself, in
+/// ops::instance_norm's exact arithmetic.
+std::pair<real_t, real_t> plane_affine(const Step& s, index_t c,
+                                       const real_t* x, index_t spatial) {
+  if (!s.inorm) return {s.scale[size_t(c)], s.shift[size_t(c)]};
+  const ops::ChannelNorm cn = ops::channel_norm(
+      x, 1, 0, spatial, s.gamma[size_t(c)], s.beta[size_t(c)], s.eps);
+  return {cn.scale, cn.shift};
+}
+
+/// Carves one arena block into buffers of the given byte sizes (each
+/// rounded up to a cache line). A run's scratch is thereby a single
+/// request, so a thread's arena is as large as the largest plan it ran,
+/// not the sum of every plan (core/arena.h).
+std::vector<char*> carve(ArenaScope& scope,
+                         const std::vector<std::size_t>& bytes) {
+  const auto padded = [](std::size_t b) {
+    return (b + 63) & ~std::size_t{63};
+  };
+  std::size_t total = 0;
+  for (std::size_t b : bytes) total += padded(b);
+  char* p = static_cast<char*>(scope.alloc(total));
+  std::vector<char*> out(bytes.size());
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    out[i] = p;
+    p += padded(bytes[i]);
+  }
+  return out;
+}
+
 std::vector<real_t> hoist_bias(const Tensor& bias, index_t cout) {
   std::vector<real_t> out(size_t(cout), 0.0f);
   if (bias.defined()) {
@@ -114,6 +168,7 @@ struct CompiledGraph::Impl {
   core::Precision prec = core::Precision::kF32;
   std::vector<Step> steps;
   std::vector<int> value_loc;       ///< per node id
+  std::vector<index_t> value_off;   ///< per node id: floats into its slab
   std::vector<index_t> slab_sizes;  ///< floats per slab
   std::vector<float> node_scale;    ///< int8: per node id (calibration)
   Stats stats;
@@ -142,10 +197,11 @@ const std::vector<BufferPlan>& CompiledGraph::plan() const {
 namespace {
 
 /// Fusion walk. Emits one Step per surviving node in schedule order.
-/// Legality (see graph.h): a bn is absorbed into its producing conv /
-/// deconv only when it is that conv's sole consumer and the conv is not
-/// the graph output; an activation is absorbed only behind an affine
-/// epilogue (bn), under the same sole-consumer / non-output rule.
+/// Legality (see graph.h): a bn or instance norm is absorbed into its
+/// producing conv / deconv only when it is that conv's sole consumer and
+/// the conv is not the graph output; an activation is absorbed only
+/// behind a norm epilogue, under the same sole-consumer / non-output
+/// rule.
 /// A conv WITHOUT a bn never absorbs an activation: pushing x through
 /// the identity affine (madd) turns -0 into +0, which would break
 /// bitwise parity with the standalone leaky_relu kernel.
@@ -183,9 +239,9 @@ std::vector<Step> fuse_steps(const Graph& g, bool fuse, int* fused_away) {
         s.bias = hoist_bias(n.bias, n.shape.c);
         if (fuse) {
           const Node* bn = sole_consumer(id);
-          if (bn && bn->kind == OpKind::kBatchNorm) {
-            hoist_bn_constants(*bn, &s.scale, &s.shift);
-            s.has_affine = true;
+          if (bn && (bn->kind == OpKind::kBatchNorm ||
+                     bn->kind == OpKind::kInstanceNorm)) {
+            take_norm(*bn, &s);
             absorbed[size_t(bn->id)] = 1;
             ++*fused_away;
             s.out_node = bn->id;
@@ -204,9 +260,9 @@ std::vector<Step> fuse_steps(const Graph& g, bool fuse, int* fused_away) {
         }
         break;
       }
-      case OpKind::kBatchNorm: {
-        hoist_bn_constants(n, &s.scale, &s.shift);
-        s.has_affine = true;
+      case OpKind::kBatchNorm:
+      case OpKind::kInstanceNorm: {
+        take_norm(n, &s);
         if (fuse) {
           const Node* a = sole_consumer(id);
           if (a &&
@@ -265,65 +321,120 @@ std::vector<Step> fuse_steps(const Graph& g, bool fuse, int* fused_away) {
 /// all non-epilogue paths are restrict-qualified). The fused epilogue
 /// is the one deliberate in-place pass and touches only the step's own
 /// output slab.
+///
+/// With `in_place_concat` (fp32 at batch 1, where a channel slice is
+/// contiguous), a concat input that nothing else reads is produced
+/// straight into its slice of the concat's buffer, which is taken when
+/// the first such input is produced; the concat step then copies only
+/// its other inputs. In a U-Net-style decoder that removes the copy of
+/// the upsampled trunk and the peak where it is live next to the
+/// concatenation.
 void plan_buffers(const Graph& g, const std::vector<Step>& steps,
-                  int out_node, std::vector<int>* value_loc,
+                  int out_node, bool in_place_concat,
+                  std::vector<int>* value_loc,
+                  std::vector<index_t>* value_off,
                   std::vector<index_t>* slab_sizes,
                   std::vector<BufferPlan>* plans) {
   TRACE_SPAN("graph.plan");
-  value_loc->assign(size_t(g.num_nodes()), kLocDead);
+  const size_t num_nodes = size_t(g.num_nodes());
+  value_loc->assign(num_nodes, kLocDead);
+  value_off->assign(num_nodes, 0);
   (*value_loc)[0] = kLocInput;
 
-  std::vector<int> last_use(size_t(g.num_nodes()), -1);
+  std::vector<int> last_use(num_nodes, -1), reads(num_nodes, 0);
+  std::vector<int> producer(num_nodes, -1);
   for (int si = 0; si < int(steps.size()); ++si) {
+    producer[size_t(steps[size_t(si)].out_node)] = si;
     for (int in : steps[size_t(si)].in_nodes) {
       last_use[size_t(in)] = si;
+      ++reads[size_t(in)];
+    }
+  }
+
+  // host[v]: the concat whose buffer v is produced into, at host_off[v]
+  // floats; taken[c]: the step from which concat c's buffer is held.
+  std::vector<int> host(num_nodes, -1), taken(num_nodes, -1);
+  std::vector<index_t> host_off(num_nodes, 0);
+  for (int si = 0; in_place_concat && si < int(steps.size()); ++si) {
+    const Step& s = steps[size_t(si)];
+    if (s.kind != OpKind::kConcat || s.out_node == out_node ||
+        s.out_shape.n != 1) {
+      continue;
+    }
+    taken[size_t(s.out_node)] = si;
+    index_t off = 0;
+    for (size_t j = 0; j < s.in_nodes.size(); ++j) {
+      const int in = s.in_nodes[j];
+      const int p = producer[size_t(in)];
+      if (p >= 0 && reads[size_t(in)] == 1 && in != out_node &&
+          steps[size_t(p)].kind != OpKind::kConcat) {
+        host[size_t(in)] = s.out_node;
+        host_off[size_t(in)] = off;
+        taken[size_t(s.out_node)] = std::min(taken[size_t(s.out_node)], p);
+      }
+      off += s.concat_c[j] * s.out_shape.h * s.out_shape.w;
     }
   }
 
   plans->push_back(BufferPlan{0, -1, g.input_shape().numel(), -1,
-                              last_use[0]});
+                              last_use[0], 0, -1});
 
   std::vector<char> slab_free;
+  // Best fit: smallest free slab that holds `need`; otherwise grow the
+  // largest free slab; otherwise open a new one.
+  const auto take = [&](index_t need) {
+    int best = -1, largest = -1;
+    for (int i = 0; i < int(slab_sizes->size()); ++i) {
+      if (!slab_free[size_t(i)]) continue;
+      if ((*slab_sizes)[size_t(i)] >= need &&
+          (best < 0 ||
+           (*slab_sizes)[size_t(i)] < (*slab_sizes)[size_t(best)])) {
+        best = i;
+      }
+      if (largest < 0 ||
+          (*slab_sizes)[size_t(i)] > (*slab_sizes)[size_t(largest)]) {
+        largest = i;
+      }
+    }
+    if (best < 0 && largest >= 0) {
+      best = largest;
+      (*slab_sizes)[size_t(best)] = need;
+    }
+    if (best < 0) {
+      best = int(slab_sizes->size());
+      slab_sizes->push_back(need);
+      slab_free.push_back(0);
+    }
+    slab_free[size_t(best)] = 0;
+    return best;
+  };
+
   for (int si = 0; si < int(steps.size()); ++si) {
     const Step& s = steps[size_t(si)];
+    const int v = s.out_node;
+    const int h = host[size_t(v)];
     const index_t need = s.out_shape.numel();
-    int loc;
-    if (s.out_node == out_node) {
-      loc = kLocOutput;
-    } else {
-      // Best fit: smallest free slab that holds the value; otherwise
-      // grow the largest free slab; otherwise open a new one.
-      int best = -1, largest = -1;
-      for (int i = 0; i < int(slab_sizes->size()); ++i) {
-        if (!slab_free[size_t(i)]) continue;
-        if ((*slab_sizes)[size_t(i)] >= need &&
-            (best < 0 ||
-             (*slab_sizes)[size_t(i)] < (*slab_sizes)[size_t(best)])) {
-          best = i;
-        }
-        if (largest < 0 ||
-            (*slab_sizes)[size_t(i)] > (*slab_sizes)[size_t(largest)]) {
-          largest = i;
-        }
+    if (v == out_node) {
+      (*value_loc)[size_t(v)] = kLocOutput;
+    } else if (h >= 0) {
+      if ((*value_loc)[size_t(h)] == kLocDead) {
+        (*value_loc)[size_t(h)] = take(g.node(h).shape.numel());
       }
-      if (best < 0 && largest >= 0) {
-        best = largest;
-        (*slab_sizes)[size_t(best)] = need;
-      }
-      if (best < 0) {
-        best = int(slab_sizes->size());
-        slab_sizes->push_back(need);
-        slab_free.push_back(0);
-      }
-      slab_free[size_t(best)] = 0;
-      loc = best;
-    }
-    (*value_loc)[size_t(s.out_node)] = loc;
-    plans->push_back(BufferPlan{s.out_node, loc < 0 ? -1 : loc, need, si,
-                                std::max(last_use[size_t(s.out_node)], si)});
+      (*value_loc)[size_t(v)] = (*value_loc)[size_t(h)];
+      (*value_off)[size_t(v)] = host_off[size_t(v)];
+    } else if ((*value_loc)[size_t(v)] == kLocDead) {
+      (*value_loc)[size_t(v)] = take(need);
+    }  // else: a concat whose buffer an in-place input already took
+    const int loc = (*value_loc)[size_t(v)];
+    plans->push_back(BufferPlan{
+        v, loc < 0 ? -1 : loc, need,
+        taken[size_t(v)] >= 0 ? taken[size_t(v)] : si,
+        std::max(last_use[size_t(v)], si), (*value_off)[size_t(v)], h});
     for (int in : s.in_nodes) {
+      // An in-place input's memory belongs to its concat.
       const int in_loc = (*value_loc)[size_t(in)];
-      if (in_loc >= 0 && last_use[size_t(in)] == si) {
+      if (in_loc >= 0 && host[size_t(in)] < 0 &&
+          last_use[size_t(in)] == si) {
         slab_free[size_t(in_loc)] = 1;
       }
     }
@@ -462,6 +573,14 @@ CompiledGraph compile(const Graph& g, const CompileOptions& opt) {
     }
     impl->node_scale = opt.calibration.node_scale;
   }
+  if (opt.precision != core::Precision::kF32) {
+    for (const Node& n : g.nodes()) {
+      if (n.kind == OpKind::kInstanceNorm) {
+        throw std::invalid_argument(
+            "compile: instance norm is supported at fp32 only");
+      }
+    }
+  }
 
   int fused_away = 0;
   impl->steps = fuse_steps(g, opt.fuse, &fused_away);
@@ -472,8 +591,10 @@ CompiledGraph compile(const Graph& g, const CompileOptions& opt) {
   // elements, which upper-bounds every storage format (u16 needs half,
   // int8 pairs at most half), so the placement is valid for all of
   // them and the planner invariants tests pin stay unchanged.
-  plan_buffers(g, impl->steps, impl->out_node, &impl->value_loc,
-               &impl->slab_sizes, &impl->plans);
+  plan_buffers(g, impl->steps, impl->out_node,
+               /*in_place_concat=*/opt.precision == core::Precision::kF32,
+               &impl->value_loc, &impl->value_off, &impl->slab_sizes,
+               &impl->plans);
 
   impl->stats.steps = int(impl->steps.size());
   impl->stats.fused_away = fused_away;
@@ -502,14 +623,18 @@ Tensor CompiledGraph::Impl::run_half(const Tensor& input, bool bf) const {
   real_t* out_data = out.data();
 
   ArenaScope scope;
+  const index_t in_numel = in_shape.numel();
+  std::vector<std::size_t> bytes;
+  for (index_t f : slab_sizes) {
+    bytes.push_back(std::size_t(f) * sizeof(std::uint16_t));
+  }
+  bytes.push_back(std::size_t(in_numel) * sizeof(std::uint16_t));
+  const std::vector<char*> block = carve(scope, bytes);
   std::vector<std::uint16_t*> slab(slab_sizes.size());
   for (size_t i = 0; i < slab_sizes.size(); ++i) {
-    slab[i] = static_cast<std::uint16_t*>(
-        scope.alloc(std::size_t(slab_sizes[i]) * sizeof(std::uint16_t)));
+    slab[i] = reinterpret_cast<std::uint16_t*>(block[i]);
   }
-  const index_t in_numel = in_shape.numel();
-  std::uint16_t* in_half = static_cast<std::uint16_t*>(
-      scope.alloc(std::size_t(in_numel) * sizeof(std::uint16_t)));
+  std::uint16_t* in_half = reinterpret_cast<std::uint16_t*>(block.back());
   cvt_to(input.data(), in_half, in_numel);
 
   const auto ptr = [&](int node) -> std::uint16_t* {
@@ -787,6 +912,7 @@ Tensor CompiledGraph::Impl::run_half(const Tensor& input, bool bf) const {
             /*grain=*/1 << 16);
         break;
       }
+      case OpKind::kInstanceNorm:  // fp32 only: compile() rejects it here
       case OpKind::kInput:
         break;
     }
@@ -809,18 +935,20 @@ Tensor CompiledGraph::Impl::run_int8(const Tensor& input) const {
   real_t* out_data = out.data();
 
   ArenaScope scope;
-  std::vector<std::int8_t*> slab(slab_sizes.size());
-  for (size_t i = 0; i < slab_sizes.size(); ++i) {
-    // Pair interleaving rounds odd channel counts up, so a value needs
-    // at most 2x its element count in bytes — covered by 2x the fp32
-    // element plan.
-    slab[i] = static_cast<std::int8_t*>(
-        scope.alloc(std::size_t(slab_sizes[i]) * 2));
-  }
   const index_t hw_in = in_shape.h * in_shape.w;
   const index_t cp_in = (in_shape.c + 1) / 2;
-  std::int8_t* in_q = static_cast<std::int8_t*>(
-      scope.alloc(std::size_t(in_shape.n * cp_in * hw_in * 2)));
+  // Pair interleaving rounds odd channel counts up, so a value needs at
+  // most 2x its element count in bytes — covered by 2x the fp32 element
+  // plan.
+  std::vector<std::size_t> bytes;
+  for (index_t f : slab_sizes) bytes.push_back(std::size_t(f) * 2);
+  bytes.push_back(std::size_t(in_shape.n * cp_in * hw_in * 2));
+  const std::vector<char*> block = carve(scope, bytes);
+  std::vector<std::int8_t*> slab(slab_sizes.size());
+  for (size_t i = 0; i < slab_sizes.size(); ++i) {
+    slab[i] = reinterpret_cast<std::int8_t*>(block[i]);
+  }
+  std::int8_t* in_q = reinterpret_cast<std::int8_t*>(block.back());
   const float in_inv = 1.0f / node_scale[0];
   parallel_for(
       0, in_shape.n * cp_in,
@@ -1085,6 +1213,7 @@ Tensor CompiledGraph::Impl::run_int8(const Tensor& input) const {
         if (!is_out) requant_value(fout, o, s.inv_out, dst);
         break;
       }
+      case OpKind::kInstanceNorm:  // fp32 only: compile() rejects it here
       case OpKind::kInput:
         break;
     }
@@ -1118,15 +1247,17 @@ Tensor CompiledGraph::run(const Tensor& input) const {
   // All intermediates live in this thread's arena for the duration of
   // the call; concurrent run() callers therefore never share buffers.
   ArenaScope scope;
-  std::vector<real_t*> slab(im.slab_sizes.size());
-  for (size_t i = 0; i < im.slab_sizes.size(); ++i) {
-    slab[i] = scope.alloc_floats(im.slab_sizes[i]);
+  std::vector<std::size_t> bytes;
+  for (index_t f : im.slab_sizes) {
+    bytes.push_back(std::size_t(f) * sizeof(real_t));
   }
+  const std::vector<char*> block = carve(scope, bytes);
   const auto ptr = [&](int node) -> real_t* {
     const int loc = im.value_loc[size_t(node)];
     if (loc == kLocInput) return const_cast<real_t*>(in_data);
     if (loc == kLocOutput) return out_data;
-    return slab[size_t(loc)];
+    return reinterpret_cast<real_t*>(block[size_t(loc)]) +
+           im.value_off[size_t(node)];
   };
 
   const simd::KernelTable& kt = simd::kernels();
@@ -1174,22 +1305,23 @@ Tensor CompiledGraph::run(const Tensor& input) const {
                                     bias_p);
                 }
               }
-              if (s.has_affine) {
+              if (s.has_affine || s.inorm) {
                 // The fused epilogue: bn (+ activation) applied in
-                // place on planes that are still cache-hot.
+                // place on planes that are still cache-hot. The job
+                // owns whole planes, so instance statistics are
+                // complete by now.
                 for (int j = 0; j < nco; ++j) {
-                  kt.scale_shift_act(out_p + j * spatial,
-                                     out_p + j * spatial, spatial,
-                                     s.scale[size_t(co0 + j)],
-                                     s.shift[size_t(co0 + j)], s.act,
-                                     s.slope);
+                  real_t* p = out_p + j * spatial;
+                  const auto [sc, sh] = plane_affine(s, co0 + j, p, spatial);
+                  kt.scale_shift_act(p, p, spatial, sc, sh, s.act, s.slope);
                 }
               }
             },
             /*grain=*/1);
         break;
       }
-      case OpKind::kBatchNorm: {
+      case OpKind::kBatchNorm:
+      case OpKind::kInstanceNorm: {
         TRACE_SPAN_V("graph.step.bn");
         const real_t* src = ptr(s.in_nodes[0]);
         const ValueShape o = s.out_shape;
@@ -1197,18 +1329,15 @@ Tensor CompiledGraph::run(const Tensor& input) const {
         parallel_for(
             0, o.n * o.c,
             [&](index_t plane) {
-              const index_t c = plane % o.c;
-              // act == 0 keeps batch_norm_infer's exact kernel; with a
+              const real_t* x = src + plane * spatial;
+              const auto [sc, sh] = plane_affine(s, plane % o.c, x, spatial);
+              // act == 0 keeps the op's exact scale_shift kernel; with a
               // fused activation the combined kernel applies the same
               // two per-element expressions in one pass.
               if (s.act == 0) {
-                kt.scale_shift(src + plane * spatial, dst + plane * spatial,
-                               spatial, s.scale[size_t(c)],
-                               s.shift[size_t(c)]);
+                kt.scale_shift(x, dst + plane * spatial, spatial, sc, sh);
               } else {
-                kt.scale_shift_act(src + plane * spatial,
-                                   dst + plane * spatial, spatial,
-                                   s.scale[size_t(c)], s.shift[size_t(c)],
+                kt.scale_shift_act(x, dst + plane * spatial, spatial, sc, sh,
                                    s.act, s.slope);
               }
             },
@@ -1273,9 +1402,11 @@ Tensor CompiledGraph::run(const Tensor& input) const {
           const real_t* src = ptr(s.in_nodes[j]);
           const index_t chan = s.concat_c[j];
           for (index_t ni = 0; ni < o.n; ++ni) {
-            std::memcpy(dst + (ni * o.c + c_off) * hw,
-                        src + ni * chan * hw,
-                        size_t(chan * hw) * sizeof(real_t));
+            real_t* to = dst + (ni * o.c + c_off) * hw;
+            const real_t* from = src + ni * chan * hw;
+            // An input planned in place already sits in its slice.
+            if (to == from) continue;
+            std::memcpy(to, from, size_t(chan * hw) * sizeof(real_t));
           }
           c_off += chan;
         }

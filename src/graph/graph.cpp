@@ -56,6 +56,7 @@ const char* op_kind_name(OpKind k) {
     case OpKind::kConv2d: return "conv2d";
     case OpKind::kDeconv2d: return "deconv2d";
     case OpKind::kBatchNorm: return "batchnorm";
+    case OpKind::kInstanceNorm: return "instance_norm";
     case OpKind::kRelu: return "relu";
     case OpKind::kLeakyRelu: return "leaky_relu";
     case OpKind::kMaxPool: return "max_pool";
@@ -175,6 +176,23 @@ int Graph::add_batchnorm(int in, Tensor gamma, Tensor beta,
   n.beta = std::move(beta);
   n.mean = std::move(running_mean);
   n.var = std::move(running_var);
+  n.eps = eps;
+  return push(std::move(n));
+}
+
+int Graph::add_instance_norm(int in, Tensor gamma, Tensor beta, real_t eps) {
+  const Node& src = in_node(in, "instance_norm");
+  for (const Tensor* t : {&gamma, &beta}) {
+    if (!t->defined() || t->rank() != 1 || t->dim(0) != src.shape.c) {
+      throw std::invalid_argument("graph: instance_norm: params must be (C)");
+    }
+  }
+  Node n;
+  n.kind = OpKind::kInstanceNorm;
+  n.inputs = {in};
+  n.shape = src.shape;
+  n.gamma = std::move(gamma);
+  n.beta = std::move(beta);
   n.eps = eps;
   return push(std::move(n));
 }
@@ -345,6 +363,10 @@ std::vector<Tensor> eval_all_nodes(const Graph& g, const Tensor& input) {
       case OpKind::kBatchNorm:
         out = ops::batch_norm_infer(values[size_t(n.inputs[0])], n.gamma,
                                     n.beta, n.mean, n.var, n.eps);
+        break;
+      case OpKind::kInstanceNorm:
+        out = ops::instance_norm(values[size_t(n.inputs[0])], n.gamma,
+                                 n.beta, n.eps);
         break;
       case OpKind::kRelu:
         out = ops::relu(values[size_t(n.inputs[0])]);

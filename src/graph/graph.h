@@ -1,6 +1,6 @@
 // Static inference graph IR + eval-mode fusion over src/ops (DESIGN.md
 // §12). Networks capture their forward pass into a Graph via explicit
-// builders (nn/ddnet.cpp, nn/unet.cpp); compile() then
+// builders (nn/ddnet.cpp, nn/unet.cpp, nn/ahnet.cpp); compile() then
 //
 //   1. fuses conv→batchnorm(→relu/leaky) chains into single kernel
 //      dispatches whose batch-norm scale/shift are hoisted to
@@ -29,13 +29,18 @@
 // the quantization work in ROADMAP item 4; it is tested to tolerance,
 // not bitwise, and the executor does not use it.
 //
-// Fusion legality: a batch-norm is absorbable only when its running
-// statistics are frozen — i.e. eval mode and NOT
-// set_batch_stats_always (instance-norm mode recomputes statistics per
-// input, so nothing is constant to hoist). The nn builders enforce
-// this by bypassing the graph entirely in those modes.
+// Fusion legality: a batch-norm's scale/shift are hoisted to compile
+// time only when its running statistics are frozen (eval mode, NOT
+// set_batch_stats_always). In batch-stats-always mode the builders
+// capture an instance-norm node instead: its statistics belong to each
+// input, so nothing is hoisted. A conv may still absorb it — every
+// conv job owns whole (n, cout) planes, so the epilogue computes a
+// plane's mean and variance right after writing it, in
+// ops::channel_norm's order, and applies them in place. Instance norm
+// is fp32 only; compile() rejects it at any other precision. Training
+// mode (running statistics still moving) never reaches the graph.
 //
-// Only stride-1 conv/deconv are supported (everything DDnet/UNet
+// Only stride-1 conv/deconv are supported (everything DDnet/UNet/AH-Net
 // execute); builders must not emit other strides.
 #pragma once
 
@@ -80,6 +85,7 @@ enum class OpKind : int {
   kConv2d,      // stride-1, square kernel, zero padding
   kDeconv2d,    // stride-1 gather form
   kBatchNorm,   // frozen running statistics (eval mode)
+  kInstanceNorm,  // per-(n, c)-plane statistics, affine gamma/beta
   kRelu,
   kLeakyRelu,
   kMaxPool,
@@ -116,7 +122,7 @@ struct Node {
   Tensor weight, bias;
   index_t ksize = 0, pad = 0;
 
-  // batchnorm: per-channel tensors + eps.
+  // batchnorm: per-channel tensors + eps (instance norm: gamma, beta).
   Tensor gamma, beta, mean, var;
   real_t eps = 0.0f;
 
@@ -137,6 +143,7 @@ class Graph {
   int add_deconv2d(int in, Tensor weight, Tensor bias, index_t pad);
   int add_batchnorm(int in, Tensor gamma, Tensor beta, Tensor running_mean,
                     Tensor running_var, real_t eps);
+  int add_instance_norm(int in, Tensor gamma, Tensor beta, real_t eps);
   int add_relu(int in);
   int add_leaky_relu(int in, real_t slope);
   int add_max_pool(int in, ops::Pool2dParams p);
@@ -198,7 +205,9 @@ struct CompileOptions {
   /// fp16/bf16 store values at half the bytes with fp32 accumulation;
   /// int8 runs the calibrated symmetric-quantized pipeline and
   /// requires `calibration`. The graph input and output tensors are
-  /// always fp32 — conversion happens at the boundary.
+  /// always fp32 — conversion happens at the boundary. Graphs holding
+  /// an instance-norm node compile at kF32 only (std::invalid_argument
+  /// otherwise).
   core::Precision precision = core::Precision::kF32;
 
   /// Required when precision == kInt8; ignored otherwise.
@@ -206,13 +215,17 @@ struct CompileOptions {
 };
 
 /// Liveness/placement record for one intermediate value (tests assert
-/// the planner invariant: overlapping live ranges never share a slab).
+/// the planner invariant: values with overlapping live ranges never
+/// overlap in memory, except a concat input produced in place inside
+/// its concat's buffer).
 struct BufferPlan {
   int node = -1;        ///< producing node id
   int slab = -1;        ///< -1: external (graph input / output)
   index_t floats = 0;   ///< size of the value
-  int def_step = -1;    ///< schedule position producing it
+  int def_step = -1;    ///< schedule position from which it holds memory
   int last_use = -1;    ///< schedule position of the last reader
+  index_t offset = 0;   ///< floats into the slab
+  int host = -1;        ///< concat it is produced into in place, or -1
 };
 
 class CompiledGraph {

@@ -2,7 +2,22 @@
 
 #include <stdexcept>
 
+#include "nn/graph_capture.h"
+#include "nn/slice_map.h"
+
 namespace ccovid::nn {
+
+namespace {
+
+void check_extent(index_t h, index_t w, int levels) {
+  const index_t div = index_t(1) << levels;
+  if (h % div != 0 || w % div != 0) {
+    throw std::invalid_argument("AhNet: extent must be divisible by " +
+                                std::to_string(div));
+  }
+}
+
+}  // namespace
 
 AhNet::AhNet(AhNetConfig cfg) : cfg_(cfg) {
   const index_t base = cfg_.base_channels;
@@ -38,11 +53,7 @@ AhNet::AhNet(AhNetConfig cfg) : cfg_(cfg) {
 }
 
 Var AhNet::forward(const Var& x) const {
-  const index_t div = index_t(1) << cfg_.levels;
-  if (x.value().dim(2) % div != 0 || x.value().dim(3) % div != 0) {
-    throw std::invalid_argument("AhNet: extent must be divisible by " +
-                                std::to_string(div));
-  }
+  check_extent(x.value().dim(2), x.value().dim(3), cfg_.levels);
   const ops::Pool2dParams pool{2, 2, 0};
 
   Var t = stem_->forward(x);
@@ -68,23 +79,53 @@ Var AhNet::forward(const Var& x) const {
   return head_->forward(t);
 }
 
+graph::Graph AhNet::build_graph(index_t n, index_t h, index_t w) const {
+  check_extent(h, w, cfg_.levels);
+  const ops::Pool2dParams pool{2, 2, 0};
+  graph::Graph g;
+  const int input = g.add_input({n, cfg_.in_channels, h, w});
+
+  // Mirrors forward() node for node (same op order, same parameters).
+  int t = capture_conv(&g, input, *stem_);
+  t = capture_bn(&g, t, *stem_bn_);
+  t = g.add_leaky_relu(t, cfg_.leaky_slope);
+
+  std::vector<int> skips;
+  for (int l = 0; l < cfg_.levels; ++l) {
+    skips.push_back(t);
+    t = g.add_max_pool(t, pool);
+    t = capture_conv(&g, t, *encoder_[size_t(l)].conv);
+    t = capture_bn(&g, t, *encoder_[size_t(l)].bn);
+    t = g.add_leaky_relu(t, cfg_.leaky_slope);
+  }
+  for (int l = 0; l < cfg_.levels; ++l) {
+    t = g.add_unpool(t, 2);
+    t = g.add_concat(
+        {t, skips[static_cast<std::size_t>(cfg_.levels - 1 - l)]});
+    t = capture_conv(&g, t, *decoder_[size_t(l)].conv);
+    t = capture_bn(&g, t, *decoder_[size_t(l)].bn);
+    t = g.add_leaky_relu(t, cfg_.leaky_slope);
+  }
+  g.mark_output(capture_conv(&g, t, *head_));
+  return g;
+}
+
 Tensor AhNet::segment_volume(const Tensor& volume) const {
-  if (volume.rank() != 3) {
-    throw std::invalid_argument("segment_volume: expected (D, H, W)");
-  }
-  autograd::NoGradGuard no_grad;
-  const index_t d = volume.dim(0), h = volume.dim(1), w = volume.dim(2);
-  Tensor mask({d, h, w});
-  for (index_t z = 0; z < d; ++z) {
-    Tensor slice({1, 1, h, w});
-    std::copy(volume.data() + z * h * w, volume.data() + (z + 1) * h * w,
-              slice.data());
-    const Var logits = forward(Var(std::move(slice)));
-    const real_t* lp = logits.value().data();
-    real_t* mp = mask.data() + z * h * w;
-    for (index_t i = 0; i < h * w; ++i) mp[i] = lp[i] > 0.0f ? 1.0f : 0.0f;
-  }
-  return mask;
+  // Training mode updates running statistics: walk the slices in order.
+  const bool eval = !training();
+  return map_slices(
+      volume, "segment_volume", eval, [&](const Tensor& slice, real_t* mp) {
+        const index_t h = slice.dim(0), w = slice.dim(1);
+        const Tensor in = slice.reshape({1, 1, h, w});
+        const Tensor logits =
+            eval && graph::fusion_enabled()
+                ? compiled_for(h, w, core::Precision::kF32)->run(in)
+                : forward(Var(in)).value();
+        const real_t* lp = logits.data();
+        for (index_t i = 0; i < h * w; ++i) {
+          mp[i] = lp[i] > 0.0f ? 1.0f : 0.0f;
+        }
+      });
 }
 
 Tensor AhNet::apply_mask(const Tensor& volume, const Tensor& mask) {

@@ -12,7 +12,9 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
+#include "nn/compiled_network.h"
 #include "nn/layers.h"
 
 namespace ccovid::nn {
@@ -24,7 +26,7 @@ struct AhNetConfig {
   real_t leaky_slope = 0.01f;
 };
 
-class AhNet : public Module {
+class AhNet : public CompiledNetwork {
  public:
   explicit AhNet(AhNetConfig cfg = AhNetConfig{});
 
@@ -32,8 +34,17 @@ class AhNet : public Module {
   Var forward(const Var& x) const;
 
   /// Segments a full volume (D, H, W) slice-wise into a binary mask
-  /// using threshold 0.5 on the sigmoid output; no gradients.
+  /// using threshold 0.5 on the sigmoid output; no gradients. Slices
+  /// run through nn::map_slices. In eval mode with graph fusion enabled
+  /// each slice runs the compiled graph — always fp32, whatever
+  /// core::active_precision() says — bitwise equal to forward(), with
+  /// frozen or per-sample batch-norm statistics alike.
   Tensor segment_volume(const Tensor& volume) const;
+
+  /// Captures the eval-mode forward pass as a graph IR for an
+  /// (n, in_channels, h, w) input (frozen batch-norm, or instance norm
+  /// after set_batch_stats_always(true); nn/graph_capture.h).
+  graph::Graph build_graph(index_t n, index_t h, index_t w) const override;
 
   /// Applies a binary mask to a volume (elementwise multiply) — the
   /// "segmented CT scan" of §3.2.

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "core/precision.h"
-#include "core/random.h"
 #include "nn/graph_capture.h"
 
 namespace ccovid::nn {
@@ -157,56 +156,6 @@ graph::Graph DDnet::build_graph(index_t n, index_t h, index_t w) const {
   return g;
 }
 
-std::shared_ptr<graph::CompiledGraph> DDnet::compiled_for(
-    index_t h, index_t w, core::Precision prec) const {
-  // h/w are CT image extents (< 2^30), so the precision and fusion
-  // tags fit in the top bits of the cache key. Fusion matters for the
-  // key because low-precision results — unlike fp32, which is bitwise
-  // fusion-invariant — round at different step boundaries per mode.
-  const bool fuse = graph::fusion_enabled();
-  const std::uint64_t key = (std::uint64_t(int(prec)) << 61) |
-                            (std::uint64_t(fuse) << 60) |
-                            (std::uint64_t(std::uint32_t(h)) << 30) |
-                            std::uint64_t(std::uint32_t(w));
-  std::lock_guard<std::mutex> lock(graph_mu_);
-  auto it = graph_cache_.find(key);
-  if (it != graph_cache_.end()) return it->second;
-  graph::Graph g = build_graph(1, h, w);
-  graph::CompileOptions opt;
-  opt.fuse = fuse;
-  opt.precision = prec;
-  if (prec == core::Precision::kInt8) {
-    // Seeded synthetic calibration batch: CT slices enter enhance()
-    // normalized to [0, 1], so uniform images bound every activation's
-    // dynamic range deterministically (same seed -> same scales -> same
-    // quantized graph on every host).
-    Rng rng(0x5ca1ab1e);
-    std::vector<Tensor> batch;
-    for (int b = 0; b < 2; ++b) {
-      Tensor t({1, cfg_.in_channels, h, w});
-      rng.fill_uniform(t, 0.0, 1.0);
-      batch.push_back(std::move(t));
-    }
-    opt.calibration = graph::calibrate(g, batch);
-  }
-  auto cg =
-      std::make_shared<graph::CompiledGraph>(graph::compile(g, opt));
-  graph_cache_.emplace(key, cg);
-  return cg;
-}
-
-void DDnet::invalidate_graphs() const {
-  std::lock_guard<std::mutex> lock(graph_mu_);
-  graph_cache_.clear();
-}
-
-void DDnet::on_set_training(bool /*training*/) { invalidate_graphs(); }
-void DDnet::on_state_loaded() { invalidate_graphs(); }
-void DDnet::on_set_batch_stats(bool on) {
-  batch_stats_always_ = on;
-  invalidate_graphs();
-}
-
 Tensor DDnet::enhance(const Tensor& image) const {
   if (image.rank() != 2) {
     throw std::invalid_argument("DDnet::enhance: expected (H, W)");
@@ -221,7 +170,7 @@ Tensor DDnet::enhance(const Tensor& image) const {
   // walk below; fp16/bf16/int8 swap the storage format of weights and
   // intermediates (DESIGN.md §13) and only exist on the graph path, so
   // they route here regardless of the fusion flag (compile honors it).
-  if (!training() && !batch_stats_always_ &&
+  if (!training() && !batch_stats_always() &&
       (graph::fusion_enabled() || prec != core::Precision::kF32)) {
     auto cg = compiled_for(image.dim(0), image.dim(1), prec);
     Tensor in = image.clone().reshape({1, 1, image.dim(0), image.dim(1)});

@@ -10,19 +10,11 @@
 // (2 per scale * 4 scales), exactly as stated in §2.2.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
-#include "core/precision.h"
+#include "nn/compiled_network.h"
 #include "nn/dense_block.h"
-
-namespace ccovid::graph {
-class Graph;
-class CompiledGraph;
-}
 
 namespace ccovid::nn {
 
@@ -53,7 +45,7 @@ struct DDnetConfig {
   }
 };
 
-class DDnet : public Module {
+class DDnet : public CompiledNetwork {
  public:
   explicit DDnet(DDnetConfig cfg = DDnetConfig::paper());
 
@@ -72,8 +64,8 @@ class DDnet : public Module {
   Tensor enhance(const Tensor& image) const;
 
   /// Captures the eval-mode forward pass as a graph IR for an
-  /// (n, in_channels, h, w) input. Requires frozen batch statistics.
-  graph::Graph build_graph(index_t n, index_t h, index_t w) const;
+  /// (n, in_channels, h, w) input.
+  graph::Graph build_graph(index_t n, index_t h, index_t w) const override;
 
   /// Selects the §4.2 optimization stage for every conv/deconv kernel in
   /// the network (benchmarks sweep this).
@@ -81,19 +73,7 @@ class DDnet : public Module {
 
   const DDnetConfig& config() const { return cfg_; }
 
- protected:
-  // Compiled-graph cache invalidation: training moves the weights, a
-  // state load rewrites them, and batch-stats-always mode makes the
-  // captured batch-norm constants illegal outright.
-  void on_set_training(bool training) override;
-  void on_set_batch_stats(bool on) override;
-  void on_state_loaded() override;
-
  private:
-  std::shared_ptr<graph::CompiledGraph> compiled_for(
-      index_t h, index_t w, core::Precision prec) const;
-  void invalidate_graphs() const;
-
   DDnetConfig cfg_;
   std::shared_ptr<Conv2d> stem_;  // 7x7 "Convolution 1"
   std::shared_ptr<BatchNorm> stem_bn_;
@@ -112,14 +92,6 @@ class DDnet : public Module {
   std::vector<DecoderLevel> decoder_;
   std::vector<std::shared_ptr<Conv2d>> all_convs_;
   std::vector<std::shared_ptr<Deconv2d>> all_deconvs_;
-
-  // Per-(H, W) compiled fusion graphs for the enhance() fast path.
-  // Guarded by graph_mu_: serve workers share one DDnet const&.
-  mutable std::mutex graph_mu_;
-  mutable std::unordered_map<std::uint64_t,
-                             std::shared_ptr<graph::CompiledGraph>>
-      graph_cache_;
-  bool batch_stats_always_ = false;
 };
 
 }  // namespace ccovid::nn

@@ -107,39 +107,13 @@ graph::Graph UNetDenoiser::build_graph(index_t n, index_t h,
   return g;
 }
 
-std::shared_ptr<graph::CompiledGraph> UNetDenoiser::compiled_for(
-    index_t h, index_t w) const {
-  const std::uint64_t key =
-      (std::uint64_t(std::uint32_t(h)) << 32) | std::uint64_t(std::uint32_t(w));
-  std::lock_guard<std::mutex> lock(graph_mu_);
-  auto it = graph_cache_.find(key);
-  if (it != graph_cache_.end()) return it->second;
-  auto cg = std::make_shared<graph::CompiledGraph>(
-      graph::compile(build_graph(1, h, w)));
-  graph_cache_.emplace(key, cg);
-  return cg;
-}
-
-void UNetDenoiser::invalidate_graphs() const {
-  std::lock_guard<std::mutex> lock(graph_mu_);
-  graph_cache_.clear();
-}
-
-void UNetDenoiser::on_set_training(bool /*training*/) {
-  invalidate_graphs();
-}
-void UNetDenoiser::on_state_loaded() { invalidate_graphs(); }
-void UNetDenoiser::on_set_batch_stats(bool on) {
-  batch_stats_always_ = on;
-  invalidate_graphs();
-}
-
 Tensor UNetDenoiser::enhance(const Tensor& image) const {
   if (image.rank() != 2) {
     throw std::invalid_argument("UNetDenoiser::enhance: expected (H, W)");
   }
-  if (!training() && !batch_stats_always_ && graph::fusion_enabled()) {
-    auto cg = compiled_for(image.dim(0), image.dim(1));
+  if (!training() && !batch_stats_always() && graph::fusion_enabled()) {
+    auto cg =
+        compiled_for(image.dim(0), image.dim(1), core::Precision::kF32);
     Tensor in = image.clone().reshape({1, 1, image.dim(0), image.dim(1)});
     return cg->run(in).reshape({image.dim(0), image.dim(1)});
   }

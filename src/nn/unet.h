@@ -4,18 +4,11 @@
 // dense-block encoder against the plain conv encoder at matched depth.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "nn/compiled_network.h"
 #include "nn/layers.h"
-
-namespace ccovid::graph {
-class Graph;
-class CompiledGraph;
-}
 
 namespace ccovid::nn {
 
@@ -28,7 +21,7 @@ struct UNetConfig {
   bool residual = true;
 };
 
-class UNetDenoiser : public Module {
+class UNetDenoiser : public CompiledNetwork {
  public:
   explicit UNetDenoiser(UNetConfig cfg = UNetConfig{});
 
@@ -41,18 +34,9 @@ class UNetDenoiser : public Module {
   Tensor enhance(const Tensor& image) const;
 
   /// Captures the eval-mode forward pass as a graph IR.
-  graph::Graph build_graph(index_t n, index_t h, index_t w) const;
-
- protected:
-  void on_set_training(bool training) override;
-  void on_set_batch_stats(bool on) override;
-  void on_state_loaded() override;
+  graph::Graph build_graph(index_t n, index_t h, index_t w) const override;
 
  private:
-  std::shared_ptr<graph::CompiledGraph> compiled_for(index_t h,
-                                                     index_t w) const;
-  void invalidate_graphs() const;
-
   UNetConfig cfg_;
   struct Level {
     std::shared_ptr<Conv2d> conv;
@@ -63,12 +47,6 @@ class UNetDenoiser : public Module {
   std::vector<Level> encoder_;
   std::vector<Level> decoder_;
   std::shared_ptr<Conv2d> head_;
-
-  mutable std::mutex graph_mu_;
-  mutable std::unordered_map<std::uint64_t,
-                             std::shared_ptr<graph::CompiledGraph>>
-      graph_cache_;
-  bool batch_stats_always_ = false;
 };
 
 }  // namespace ccovid::nn

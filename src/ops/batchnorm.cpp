@@ -33,6 +33,29 @@ void check_param(const Tensor& p, index_t c, const char* name) {
 
 }  // namespace
 
+ChannelNorm channel_norm(const real_t* x, index_t planes, index_t stride,
+                         index_t spatial, real_t gamma, real_t beta,
+                         real_t eps) {
+  double sum = 0.0, sum_sq = 0.0;
+  for (index_t p = 0; p < planes; ++p) {
+    const real_t* xp = x + p * stride;
+    for (index_t i = 0; i < spatial; ++i) {
+      sum += xp[i];
+      sum_sq += static_cast<double>(xp[i]) * xp[i];
+    }
+  }
+  const index_t count = planes * spatial;
+  const double mean = sum / count;
+  const double var = std::max(0.0, sum_sq / count - mean * mean);
+  ChannelNorm r;
+  r.mean = static_cast<real_t>(mean);
+  r.var = static_cast<real_t>(var);
+  r.inv_std = static_cast<real_t>(1.0 / std::sqrt(var + eps));
+  r.scale = gamma * r.inv_std;
+  r.shift = beta - r.scale * r.mean;
+  return r;
+}
+
 Tensor batch_norm_train(const Tensor& input, const Tensor& gamma,
                         const Tensor& beta, BatchNormStats& stats,
                         real_t eps) {
@@ -53,34 +76,47 @@ Tensor batch_norm_train(const Tensor& input, const Tensor& gamma,
   real_t* vp = stats.var.data();
   real_t* sp = stats.inv_std.data();
   real_t* op = out.data();
-  const index_t count = d.n * d.spatial;
 
   parallel_for(
       0, d.c,
       [&](index_t c) {
-        double sum = 0.0, sum_sq = 0.0;
-        for (index_t ni = 0; ni < d.n; ++ni) {
-          const real_t* x = ip + (ni * d.c + c) * d.spatial;
-          for (index_t i = 0; i < d.spatial; ++i) {
-            sum += x[i];
-            sum_sq += static_cast<double>(x[i]) * x[i];
-          }
-        }
-        const double mean = sum / count;
-        const double var = std::max(0.0, sum_sq / count - mean * mean);
-        const real_t inv_std = static_cast<real_t>(1.0 / std::sqrt(var + eps));
-        mp[c] = static_cast<real_t>(mean);
-        vp[c] = static_cast<real_t>(var);
-        sp[c] = inv_std;
-        const real_t scale = gp[c] * inv_std;
-        const real_t shift =
-            bp[c] - scale * static_cast<real_t>(mean);
+        const ChannelNorm cn = channel_norm(ip + c * d.spatial, d.n,
+                                            d.c * d.spatial, d.spatial,
+                                            gp[c], bp[c], eps);
+        mp[c] = cn.mean;
+        vp[c] = cn.var;
+        sp[c] = cn.inv_std;
         const simd::KernelTable& kt = simd::kernels();
         for (index_t ni = 0; ni < d.n; ++ni) {
           const real_t* x = ip + (ni * d.c + c) * d.spatial;
           real_t* y = op + (ni * d.c + c) * d.spatial;
-          kt.scale_shift(x, y, d.spatial, scale, shift);
+          kt.scale_shift(x, y, d.spatial, cn.scale, cn.shift);
         }
+      },
+      /*grain=*/1);
+  return out;
+}
+
+Tensor instance_norm(const Tensor& input, const Tensor& gamma,
+                     const Tensor& beta, real_t eps) {
+  TRACE_SPAN("ops.instance_norm");
+  const NCS d = split_ncs(input);
+  check_param(gamma, d.c, "gamma");
+  check_param(beta, d.c, "beta");
+  Tensor out(input.shape());
+  const real_t* ip = input.data();
+  real_t* op = out.data();
+  const simd::KernelTable& kt = simd::kernels();
+  parallel_for(
+      0, d.n * d.c,
+      [&](index_t plane) {
+        const index_t c = plane % d.c;
+        const real_t* x = ip + plane * d.spatial;
+        const ChannelNorm cn = channel_norm(x, 1, 0, d.spatial,
+                                            gamma.data()[c],
+                                            beta.data()[c], eps);
+        kt.scale_shift(x, op + plane * d.spatial, d.spatial, cn.scale,
+                       cn.shift);
       },
       /*grain=*/1);
   return out;

@@ -54,39 +54,42 @@ Tensor conv3d(const Tensor& input, const Tensor& weight, const Tensor& bias,
   const real_t* bp = bias.defined() ? bias.data() : nullptr;
   real_t* op = out.data();
 
+  // One job per (n, cout, output depth plane): the compact classifier's
+  // dense layers have only a handful of output channels, too few jobs
+  // to fill the lanes at (n, cout) granularity. Each output element
+  // keeps its (ci, kz, ky, kx) tap order, so the split is bit-neutral.
   parallel_for(
-      0, n * cout,
+      0, n * cout * od,
       [&](index_t job) {
-        const index_t ni = job / cout;
-        const index_t co = job % cout;
+        const index_t oz = job % od;
+        const index_t ni = job / od / cout;
+        const index_t co = job / od % cout;
         const real_t* in_n = ip + ni * cin * d * h * w;
         const real_t* w_co = wp + co * cin * k * k * k;
         real_t* out_p = op + (ni * cout + co) * od * oh * ow;
         const real_t bias_v = bp ? bp[co] : 0.0f;
-        for (index_t oz = 0; oz < od; ++oz) {
-          for (index_t oy = 0; oy < oh; ++oy) {
-            for (index_t ox = 0; ox < ow; ++ox) {
-              real_t acc = bias_v;
-              for (index_t ci = 0; ci < cin; ++ci) {
-                const real_t* in_c = in_n + ci * d * h * w;
-                const real_t* w_c = w_co + ci * k * k * k;
-                for (index_t kz = 0; kz < k; ++kz) {
-                  const index_t iz = oz * p.stride - p.pad + kz;
-                  if (iz < 0 || iz >= d) continue;
-                  for (index_t ky = 0; ky < k; ++ky) {
-                    const index_t iy = oy * p.stride - p.pad + ky;
-                    if (iy < 0 || iy >= h) continue;
-                    for (index_t kx = 0; kx < k; ++kx) {
-                      const index_t ix = ox * p.stride - p.pad + kx;
-                      if (ix < 0 || ix >= w) continue;
-                      acc += in_c[(iz * h + iy) * w + ix] *
-                             w_c[(kz * k + ky) * k + kx];
-                    }
+        for (index_t oy = 0; oy < oh; ++oy) {
+          for (index_t ox = 0; ox < ow; ++ox) {
+            real_t acc = bias_v;
+            for (index_t ci = 0; ci < cin; ++ci) {
+              const real_t* in_c = in_n + ci * d * h * w;
+              const real_t* w_c = w_co + ci * k * k * k;
+              for (index_t kz = 0; kz < k; ++kz) {
+                const index_t iz = oz * p.stride - p.pad + kz;
+                if (iz < 0 || iz >= d) continue;
+                for (index_t ky = 0; ky < k; ++ky) {
+                  const index_t iy = oy * p.stride - p.pad + ky;
+                  if (iy < 0 || iy >= h) continue;
+                  for (index_t kx = 0; kx < k; ++kx) {
+                    const index_t ix = ox * p.stride - p.pad + kx;
+                    if (ix < 0 || ix >= w) continue;
+                    acc += in_c[(iz * h + iy) * w + ix] *
+                           w_c[(kz * k + ky) * k + kx];
                   }
                 }
               }
-              out_p[(oz * oh + oy) * ow + ox] = acc;
             }
+            out_p[(oz * oh + oy) * ow + ox] = acc;
           }
         }
       },

@@ -39,37 +39,37 @@ MaxPool3dResult max_pool3d(const Tensor& input, Pool3dParams p) {
   real_t* op = res.output.data();
   index_t* ap = res.argmax.data();
 
+  // One job per (n, c, output depth plane), as in conv3d.
   parallel_for(
-      0, n * c,
-      [&](index_t plane) {
+      0, n * c * od,
+      [&](index_t job) {
+        const index_t plane = job / od, oz = job % od;
         const real_t* in_p = ip + plane * d * h * w;
         real_t* out_p = op + plane * od * oh * ow;
         index_t* arg_p = ap + plane * od * oh * ow;
-        for (index_t oz = 0; oz < od; ++oz) {
-          for (index_t oy = 0; oy < oh; ++oy) {
-            for (index_t ox = 0; ox < ow; ++ox) {
-              real_t best = -std::numeric_limits<real_t>::infinity();
-              index_t best_ix = 0;
-              for (index_t kz = 0; kz < p.ksize; ++kz) {
-                const index_t iz = oz * p.stride - p.pad + kz;
-                if (iz < 0 || iz >= d) continue;
-                for (index_t ky = 0; ky < p.ksize; ++ky) {
-                  const index_t iy = oy * p.stride - p.pad + ky;
-                  if (iy < 0 || iy >= h) continue;
-                  for (index_t kx = 0; kx < p.ksize; ++kx) {
-                    const index_t ix = ox * p.stride - p.pad + kx;
-                    if (ix < 0 || ix >= w) continue;
-                    const real_t v = in_p[(iz * h + iy) * w + ix];
-                    if (v > best) {
-                      best = v;
-                      best_ix = (iz * h + iy) * w + ix;
-                    }
+        for (index_t oy = 0; oy < oh; ++oy) {
+          for (index_t ox = 0; ox < ow; ++ox) {
+            real_t best = -std::numeric_limits<real_t>::infinity();
+            index_t best_ix = 0;
+            for (index_t kz = 0; kz < p.ksize; ++kz) {
+              const index_t iz = oz * p.stride - p.pad + kz;
+              if (iz < 0 || iz >= d) continue;
+              for (index_t ky = 0; ky < p.ksize; ++ky) {
+                const index_t iy = oy * p.stride - p.pad + ky;
+                if (iy < 0 || iy >= h) continue;
+                for (index_t kx = 0; kx < p.ksize; ++kx) {
+                  const index_t ix = ox * p.stride - p.pad + kx;
+                  if (ix < 0 || ix >= w) continue;
+                  const real_t v = in_p[(iz * h + iy) * w + ix];
+                  if (v > best) {
+                    best = v;
+                    best_ix = (iz * h + iy) * w + ix;
                   }
                 }
               }
-              out_p[(oz * oh + oy) * ow + ox] = best;
-              arg_p[(oz * oh + oy) * ow + ox] = best_ix;
             }
+            out_p[(oz * oh + oy) * ow + ox] = best;
+            arg_p[(oz * oh + oy) * ow + ox] = best_ix;
           }
         }
       },
@@ -113,29 +113,28 @@ Tensor avg_pool3d(const Tensor& input, Pool3dParams p) {
   real_t* op = out.data();
   const real_t inv = 1.0f / static_cast<real_t>(p.ksize * p.ksize * p.ksize);
   parallel_for(
-      0, n * c,
-      [&](index_t plane) {
+      0, n * c * od,
+      [&](index_t job) {
+        const index_t plane = job / od, oz = job % od;
         const real_t* in_p = ip + plane * d * h * w;
         real_t* out_p = op + plane * od * oh * ow;
-        for (index_t oz = 0; oz < od; ++oz) {
-          for (index_t oy = 0; oy < oh; ++oy) {
-            for (index_t ox = 0; ox < ow; ++ox) {
-              real_t acc = 0.0f;
-              for (index_t kz = 0; kz < p.ksize; ++kz) {
-                const index_t iz = oz * p.stride - p.pad + kz;
-                if (iz < 0 || iz >= d) continue;
-                for (index_t ky = 0; ky < p.ksize; ++ky) {
-                  const index_t iy = oy * p.stride - p.pad + ky;
-                  if (iy < 0 || iy >= h) continue;
-                  for (index_t kx = 0; kx < p.ksize; ++kx) {
-                    const index_t ix = ox * p.stride - p.pad + kx;
-                    if (ix < 0 || ix >= w) continue;
-                    acc += in_p[(iz * h + iy) * w + ix];
-                  }
+        for (index_t oy = 0; oy < oh; ++oy) {
+          for (index_t ox = 0; ox < ow; ++ox) {
+            real_t acc = 0.0f;
+            for (index_t kz = 0; kz < p.ksize; ++kz) {
+              const index_t iz = oz * p.stride - p.pad + kz;
+              if (iz < 0 || iz >= d) continue;
+              for (index_t ky = 0; ky < p.ksize; ++ky) {
+                const index_t iy = oy * p.stride - p.pad + ky;
+                if (iy < 0 || iy >= h) continue;
+                for (index_t kx = 0; kx < p.ksize; ++kx) {
+                  const index_t ix = ox * p.stride - p.pad + kx;
+                  if (ix < 0 || ix >= w) continue;
+                  acc += in_p[(iz * h + iy) * w + ix];
                 }
               }
-              out_p[(oz * oh + oy) * ow + ox] = acc * inv;
             }
+            out_p[(oz * oh + oy) * ow + ox] = acc * inv;
           }
         }
       },

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "metrics/image_quality.h"
+#include "nn/slice_map.h"
 
 namespace ccovid::pipeline {
 
@@ -90,20 +91,13 @@ Tensor EnhancementAI::enhance(const Tensor& low_dose) const {
 }
 
 Tensor EnhancementAI::enhance_volume(const Tensor& volume) const {
-  if (volume.rank() != 3) {
-    throw std::invalid_argument("enhance_volume: expected (D, H, W)");
-  }
-  const index_t d = volume.dim(0), h = volume.dim(1), w = volume.dim(2);
-  Tensor out({d, h, w});
-  for (index_t z = 0; z < d; ++z) {
-    Tensor slice({h, w});
-    std::copy(volume.data() + z * h * w, volume.data() + (z + 1) * h * w,
-              slice.data());
-    const Tensor enhanced = net_.enhance(slice);
-    std::copy(enhanced.data(), enhanced.data() + h * w,
-              out.data() + z * h * w);
-  }
-  return out;
+  // Training mode updates running statistics: enhance slices in order.
+  return nn::map_slices(volume, "enhance_volume", !net_.training(),
+                        [&](const Tensor& slice, real_t* out) {
+                          const Tensor enhanced = net_.enhance(slice);
+                          std::copy(enhanced.data(),
+                                    enhanced.data() + enhanced.numel(), out);
+                        });
 }
 
 EnhancementEval EnhancementAI::evaluate(

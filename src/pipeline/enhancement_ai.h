@@ -49,7 +49,8 @@ class EnhancementAI {
   /// Enhances one [0,1] slice (H, W); inference only.
   Tensor enhance(const Tensor& low_dose) const;
 
-  /// Enhances every slice of a (D, H, W) volume.
+  /// Enhances every slice of a (D, H, W) volume, slices in parallel
+  /// through nn::map_slices (in order while the network trains).
   Tensor enhance_volume(const Tensor& low_dose_volume) const;
 
   /// MSE / MS-SSIM of the raw and enhanced test images vs ground truth.

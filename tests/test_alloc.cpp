@@ -9,15 +9,19 @@
 // sanitizer runs are about finding bugs, not allocation counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
+#include <thread>
 #include <vector>
 
 #include "core/alloc_cache.h"
 #include "core/arena.h"
 #include "core/parallel.h"
+#include "core/precision.h"
 #include "core/random.h"
 #include "core/tensor.h"
 #include "data/phantom.h"
+#include "graph/graph.h"
 #include "nn/ddnet.h"
 #include "nn/layers.h"
 #include "ops/gemm.h"
@@ -64,6 +68,61 @@ TEST(Arena, NestedScopesAreLifo) {
   real_t* c = outer.alloc_floats(64);
   EXPECT_EQ(a[0], 7.0f);
   EXPECT_NE(a, c);
+}
+
+TEST(Arena, EmptyArenaReplacesChunksInsteadOfAppending) {
+  // A fresh thread, so the arena starts empty.
+  std::thread([] {
+    ScratchArena& arena = this_thread_arena();
+    const std::size_t big = std::size_t{1} << 20;
+    { ArenaScope scope; scope.alloc(1024); }  // the initial chunk
+    { ArenaScope scope; scope.alloc(big); }   // outgrows it while empty
+    EXPECT_EQ(arena.capacity(), big);
+    {
+      ArenaScope scope;
+      scope.alloc(big / 2);
+      scope.alloc(big);  // live scratch below: must append
+    }
+    const std::size_t grown = arena.capacity();
+    EXPECT_GT(grown, big);
+    { ArenaScope scope; scope.alloc(big); }  // fits: nothing changes
+    EXPECT_EQ(arena.capacity(), grown);
+  }).join();
+}
+
+TEST(Arena, FootprintAfterEnhanceAndSegmentIsTheLargerPlan) {
+  // fp32 graphs take no scratch beyond their slab block.
+  const core::PrecisionGuard fp32(core::Precision::kF32);
+  graph::FusionGuard fused(true);
+  nn::seed_init_rng(3);
+  pipeline::EnhancementAI enh(nn::DDnetConfig::tiny());
+  pipeline::SegmentationAI seg;
+  enh.network().set_training(false);
+  seg.network().set_training(false);
+  const index_t px = 64;
+  Tensor vol({2, px, px});
+  Rng rng(7);
+  rng.fill_uniform(vol, 0.0, 1.0);
+
+  // A plan's arena block: its slabs, each padded to a cache line.
+  const auto block_bytes = [](const graph::CompiledGraph& cg) {
+    return std::size_t(cg.stats().slab_floats) * sizeof(real_t) +
+           std::size_t(cg.stats().slabs) * 64;
+  };
+  const std::size_t ddnet =
+      block_bytes(graph::compile(enh.network().build_graph(1, px, px)));
+  const std::size_t ahnet =
+      block_bytes(graph::compile(seg.network().build_graph(1, px, px)));
+
+  std::size_t capacity = 0;
+  std::thread([&] {  // a fresh thread: its arena starts empty
+    ParallelPin pin(1);
+    for (int i = 0; i < 2; ++i) seg.segment(enh.enhance_volume(vol));
+    capacity = this_thread_arena().capacity();
+  }).join();
+  EXPECT_GT(capacity, 0u);
+  EXPECT_LE(capacity, std::max(ddnet, ahnet))
+      << "DDnet block " << ddnet << " B, AH-Net block " << ahnet << " B";
 }
 
 TEST(Arena, AlignmentIs64Bytes) {
@@ -169,6 +228,27 @@ TEST(AllocCache, DdnetEnhanceSteadyStateIsAllocationFree) {
       fresh_allocs_steady_state(3, 8, [&] { Tensor y = net.enhance(x); });
   EXPECT_EQ(fresh, 0u) << "DDnet forward allocated from the system heap "
                           "in steady state";
+}
+
+TEST(AllocCache, SegmentVolumeSteadyStateIsAllocationFree) {
+  if (!alloc_cache_active()) {
+    GTEST_SKIP() << "alloc cache inactive (sanitizer build or disabled)";
+  }
+  ParallelPin pin(1);
+  for (const bool fusion : {true, false}) {
+    graph::FusionGuard guard(fusion);
+    nn::seed_init_rng(3);
+    pipeline::SegmentationAI seg;
+    seg.network().set_training(false);
+    Tensor vol({3, 16, 16});
+    Rng rng(5);
+    rng.fill_uniform(vol, 0.0, 1.0);
+    const std::uint64_t fresh = fresh_allocs_steady_state(
+        3, 8, [&] { Tensor mask = seg.segment(vol); });
+    EXPECT_EQ(fresh, 0u) << "segment_volume allocated from the system "
+                            "heap in steady state, fusion "
+                         << fusion;
+  }
 }
 
 // --------------------------------------------- steady-state: serving

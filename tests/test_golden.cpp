@@ -343,6 +343,26 @@ TEST(Golden, FullDiagnose) {
   check_golden("diagnose_tiny_s3_vol8", h);
 }
 
+// The two slice-wise stages on their own: the enhanced volume and the
+// lung mask segmented from it, over a depth that is not a multiple of
+// any swept width. Slices may run on any lane in any order, so this
+// pins that the slice map never lets scheduling reach the bits.
+TEST(Golden, VolumeStages) {
+  nn::seed_init_rng(3);
+  pipeline::EnhancementAI enh(nn::DDnetConfig::tiny());
+  pipeline::SegmentationAI seg;
+  enh.network().set_training(false);
+  seg.network().set_training(false);
+  Rng rng(13);
+  Tensor vol({6, 16, 16});
+  rng.fill_uniform(vol, 0.0, 1.0);
+  const std::uint64_t h = digest_across_widths([&] {
+    const Tensor enhanced = enh.enhance_volume(vol);
+    return fnv1a64(seg.segment(enhanced), fnv1a64(enhanced));
+  });
+  check_golden("volume_stages_tiny", h);
+}
+
 }  // namespace
 }  // namespace ccovid
 

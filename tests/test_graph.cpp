@@ -4,9 +4,11 @@
 // flatness, and the fusion-equivalence battery — fused output must be
 // BITWISE equal to the unfused compiled schedule, the op-by-op
 // reference interpreter, and the nn::Module eval forward, at every
-// compiled SIMD backend and task-engine width. The randomized fuzzer
-// at the bottom stresses the fusion pass with DAGs containing
-// non-fusible interleavings and multi-consumer nodes.
+// compiled SIMD backend and task-engine width. The instance-norm op is
+// held to batch_norm_train at batch 1, and the AH-Net graph to its
+// module walk in both batch-norm modes. The randomized fuzzer at the
+// bottom stresses the fusion pass with DAGs containing non-fusible
+// interleavings and multi-consumer nodes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,9 +22,11 @@
 #include "core/random.h"
 #include "core/simd.h"
 #include "graph/graph.h"
+#include "nn/ahnet.h"
 #include "nn/ddnet.h"
 #include "nn/layers.h"
 #include "nn/unet.h"
+#include "ops/activations.h"
 #include "ops/batchnorm.h"
 #include "ops/conv2d.h"
 #include "ops/deconv2d.h"
@@ -40,6 +44,12 @@ Tensor uniform(Rng& rng, Shape shape, real_t lo = -1.0f, real_t hi = 1.0f) {
   Tensor t(std::move(shape));
   rng.fill_uniform(t, lo, hi);
   return t;
+}
+
+CompileOptions unfused_options() {
+  CompileOptions o;
+  o.fuse = false;
+  return o;
 }
 
 // ------------------------------------------------- IR construction
@@ -176,6 +186,8 @@ TEST(GraphFold, BatchnormFoldDeconvLayout) {
 
 // -------------------------------------------------- planner invariants
 
+/// Values whose live ranges overlap never overlap in memory — except a
+/// concat input the planner produces in place inside its concat.
 void expect_no_live_overlap_shares_slab(const graph::CompiledGraph& cg) {
   const auto& plans = cg.plan();
   for (size_t i = 0; i < plans.size(); ++i) {
@@ -183,11 +195,16 @@ void expect_no_live_overlap_shares_slab(const graph::CompiledGraph& cg) {
       const graph::BufferPlan& a = plans[i];
       const graph::BufferPlan& b = plans[j];
       if (a.slab < 0 || b.slab < 0 || a.slab != b.slab) continue;
-      const bool disjoint = a.last_use < b.def_step || b.last_use < a.def_step;
+      if (a.host == b.node || b.host == a.node) continue;
+      const bool disjoint = a.last_use < b.def_step ||
+                            b.last_use < a.def_step ||
+                            a.offset + a.floats <= b.offset ||
+                            b.offset + b.floats <= a.offset;
       EXPECT_TRUE(disjoint)
           << "values of nodes " << a.node << " [" << a.def_step << ","
           << a.last_use << "] and " << b.node << " [" << b.def_step << ","
-          << b.last_use << "] share slab " << a.slab << " while both live";
+          << b.last_use << "] overlap in slab " << a.slab
+          << " while both live";
     }
   }
 }
@@ -200,7 +217,7 @@ TEST(GraphPlanner, NoTwoLiveValuesShareASlab) {
 
   const graph::CompiledGraph fused = graph::compile(g);
   const graph::CompiledGraph unfused =
-      graph::compile(g, CompileOptions{false});
+      graph::compile(g, unfused_options());
   expect_no_live_overlap_shares_slab(fused);
   expect_no_live_overlap_shares_slab(unfused);
 
@@ -238,7 +255,7 @@ TEST(GraphFusion, DdnetFusedUnfusedReferenceAndModuleAgreeBitwise) {
   const Graph g = net.build_graph(1, 16, 16);
   const graph::CompiledGraph fused = graph::compile(g);
   const graph::CompiledGraph unfused =
-      graph::compile(g, CompileOptions{false});
+      graph::compile(g, unfused_options());
 
   std::uint64_t module_digest;
   {
@@ -290,7 +307,7 @@ TEST(GraphFusion, DdnetDigestStableAcrossBackendsAndWidths) {
   const Graph g = net.build_graph(1, 16, 16);
   const graph::CompiledGraph fused = graph::compile(g);
   const graph::CompiledGraph unfused =
-      graph::compile(g, CompileOptions{false});
+      graph::compile(g, unfused_options());
 
   const simd::Backend prev = simd::active_backend();
   std::vector<std::uint64_t> digests;
@@ -309,6 +326,150 @@ TEST(GraphFusion, DdnetDigestStableAcrossBackendsAndWidths) {
   simd::set_backend(prev);
   ASSERT_FALSE(digests.empty());
   for (std::uint64_t d : digests) EXPECT_EQ(d, digests.front());
+}
+
+// ------------------------------------------------------ instance norm
+
+/// Calls body(label) at every compiled SIMD backend x widths 1/2/8.
+template <typename Body>
+void across_backends_and_widths(Body&& body) {
+  const simd::Backend prev = simd::active_backend();
+  for (simd::Backend b :
+       {simd::Backend::kScalar, simd::Backend::kSse2, simd::Backend::kAvx2}) {
+    if (!simd::backend_available(b)) continue;
+    simd::set_backend(b);
+    for (int width : {1, 2, 8}) {
+      ParallelPin pin(width);
+      body(std::string(simd::backend_name(b)) + " width " +
+           std::to_string(width));
+    }
+  }
+  simd::set_backend(prev);
+}
+
+TEST(GraphInstanceNorm, MatchesBatchNormTrainAtBatchOneBitwise) {
+  Rng rng(23);
+  const Tensor w = uniform(rng, {6, 3, 3, 3});
+  const Tensor b = uniform(rng, {6});
+  const Tensor gamma = uniform(rng, {6}, 0.5f, 1.5f);
+  const Tensor beta = uniform(rng, {6});
+  const Tensor x = uniform(rng, {1, 3, 12, 12});
+  const real_t eps = 1e-5f;
+
+  // conv -> instance norm -> leaky: the chain a conv absorbs whole.
+  Graph chain;
+  {
+    const int in = chain.add_input({1, 3, 12, 12});
+    const int c = chain.add_conv2d(in, w, b, 1);
+    chain.add_leaky_relu(chain.add_instance_norm(c, gamma, beta, eps),
+                         0.01f);
+  }
+  // A standalone instance norm (its input is the graph input) feeding
+  // a relu, and one that is itself the graph output.
+  Graph alone, alone_out;
+  {
+    const Tensor g3 = uniform(rng, {3}, 0.5f, 1.5f);
+    const Tensor b3 = uniform(rng, {3});
+    alone.add_relu(alone.add_instance_norm(alone.add_input({1, 3, 12, 12}),
+                                           g3, b3, eps));
+    alone_out.add_instance_norm(alone_out.add_input({1, 3, 12, 12}), g3,
+                                b3, eps);
+  }
+
+  ops::BatchNormStats st;
+  const auto bn_train = [&](const Tensor& t, const Graph& g, int id) {
+    return ops::batch_norm_train(t, g.node(id).gamma, g.node(id).beta, st,
+                                 eps);
+  };
+  const std::uint64_t want_chain = fnv1a64(ops::leaky_relu(
+      bn_train(ops::conv2d(x, w, b, ops::Conv2dParams{1, 1}), chain, 2),
+      0.01f));
+  const std::uint64_t want_alone = fnv1a64(ops::relu(bn_train(x, alone, 1)));
+  const std::uint64_t want_out = fnv1a64(bn_train(x, alone_out, 1));
+
+  const graph::CompiledGraph chain_fused = graph::compile(chain);
+  EXPECT_EQ(chain_fused.stats().steps, 1);  // norm and leaky absorbed
+  struct Case {
+    const Graph* g;
+    std::uint64_t want;
+  };
+  for (const Case& c : {Case{&chain, want_chain}, Case{&alone, want_alone},
+                        Case{&alone_out, want_out}}) {
+    EXPECT_EQ(fnv1a64(graph::run_reference(*c.g, x)), c.want);
+    const graph::CompiledGraph fused = graph::compile(*c.g);
+    const graph::CompiledGraph unfused =
+        graph::compile(*c.g, unfused_options());
+    across_backends_and_widths([&](const std::string& at) {
+      EXPECT_EQ(run_digest(fused, x), c.want) << "fused at " << at;
+      EXPECT_EQ(run_digest(unfused, x), c.want) << "unfused at " << at;
+    });
+  }
+}
+
+TEST(GraphInstanceNorm, CompileRejectsItBelowFp32) {
+  Rng rng(29);
+  Graph g;
+  g.add_instance_norm(g.add_input({1, 2, 8, 8}), uniform(rng, {2}),
+                      uniform(rng, {2}), 1e-5f);
+  const Tensor x = uniform(rng, {1, 2, 8, 8});
+  EXPECT_NO_THROW(graph::compile(g));
+  for (core::Precision prec : {core::Precision::kF16, core::Precision::kBf16,
+                               core::Precision::kInt8}) {
+    CompileOptions opt;
+    opt.precision = prec;
+    // A valid calibration, so int8 fails on the norm, not on its absence.
+    opt.calibration = graph::calibrate(g, {x});
+    EXPECT_THROW(graph::compile(g, opt), std::invalid_argument)
+        << core::precision_name(prec);
+  }
+}
+
+TEST(GraphFusion, AhnetGraphMatchesModuleWalkInBothNormModes) {
+  for (const bool batch_stats : {false, true}) {
+    nn::seed_init_rng(31);
+    nn::AhNet net;
+    Rng rng(37);
+    {
+      // One training-mode forward moves the running statistics off
+      // their identity init, so frozen batch-norm is not trivial.
+      autograd::NoGradGuard no_grad;
+      net.forward(autograd::Var(uniform(rng, {1, 1, 16, 16}, 0.0f, 1.0f)));
+    }
+    net.set_training(false);
+    net.set_batch_stats_always(batch_stats);
+    const Tensor x = uniform(rng, {1, 1, 16, 16}, 0.0f, 1.0f);
+
+    std::uint64_t walk;
+    {
+      autograd::NoGradGuard no_grad;
+      walk = fnv1a64(net.forward(autograd::Var(x)).value());
+    }
+    const Graph g = net.build_graph(1, 16, 16);
+    int inorms = 0;
+    for (const graph::Node& n : g.nodes()) {
+      inorms += n.kind == OpKind::kInstanceNorm;
+    }
+    EXPECT_EQ(inorms > 0, batch_stats);
+    EXPECT_EQ(fnv1a64(graph::run_reference(g, x)), walk);
+
+    const graph::CompiledGraph fused = graph::compile(g);
+    const graph::CompiledGraph unfused = graph::compile(g, unfused_options());
+    EXPECT_GT(fused.stats().fused_away, 0);
+    // Each decoder level's upsampled trunk is produced inside its concat.
+    EXPECT_EQ(std::count_if(fused.plan().begin(), fused.plan().end(),
+                            [](const graph::BufferPlan& p) {
+                              return p.host >= 0;
+                            }),
+              2);
+    expect_no_live_overlap_shares_slab(fused);
+    expect_no_live_overlap_shares_slab(unfused);
+    across_backends_and_widths([&](const std::string& at) {
+      EXPECT_EQ(run_digest(fused, x), walk)
+          << "fused, batch stats " << batch_stats << ", at " << at;
+      EXPECT_EQ(run_digest(unfused, x), walk)
+          << "unfused, batch stats " << batch_stats << ", at " << at;
+    });
+  }
 }
 
 // -------------------------------------------------- allocation flatness
@@ -537,7 +698,7 @@ TEST(GraphFuzz, RandomDagsFuseBitwiseEqualAcrossBackendsAndWidths) {
 
     const graph::CompiledGraph fused = graph::compile(fz.g);
     const graph::CompiledGraph unfused =
-        graph::compile(fz.g, CompileOptions{false});
+        graph::compile(fz.g, unfused_options());
     expect_no_live_overlap_shares_slab(fused);
     expect_no_live_overlap_shares_slab(unfused);
 

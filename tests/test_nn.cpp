@@ -1,6 +1,8 @@
 // Network modules: parameter bookkeeping, state-dict round trips, DDnet
 // architecture invariants (37 convolutions / 8 deconvolutions, Table 2
-// shapes), the 3-D classifier and the AH-Net segmenter.
+// shapes), the 3-D classifier, the AH-Net segmenter (its slice-parallel
+// segment_volume bitwise equal to a slice-by-slice module walk) and the
+// slice map's width rule.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,9 +12,13 @@
 
 #include "autograd/losses.h"
 #include "autograd/optim.h"
+#include "core/digest.h"
+#include "core/parallel.h"
+#include "graph/graph.h"
 #include "nn/ahnet.h"
 #include "nn/ddnet.h"
 #include "nn/densenet3d.h"
+#include "nn/slice_map.h"
 
 namespace ccovid::nn {
 namespace {
@@ -286,6 +292,104 @@ TEST(AhNet, RejectsIndivisibleExtent) {
   AhNet net;
   Tensor x({1, 1, 10, 10});
   EXPECT_THROW(net.forward(autograd::Var(x)), std::invalid_argument);
+  net.set_training(false);
+  EXPECT_THROW(net.segment_volume(Tensor({3, 10, 10})),
+               std::invalid_argument);
+  EXPECT_THROW(net.segment_volume(Tensor({16, 16})), std::invalid_argument);
+}
+
+/// The mask segment_volume must produce: each slice through the module
+/// walk on its own, one after another.
+Tensor slice_by_slice_mask(const AhNet& net, const Tensor& vol) {
+  autograd::NoGradGuard no_grad;
+  const index_t d = vol.dim(0), h = vol.dim(1), w = vol.dim(2);
+  Tensor mask({d, h, w});
+  for (index_t z = 0; z < d; ++z) {
+    Tensor slice({1, 1, h, w});
+    std::copy(vol.data() + z * h * w, vol.data() + (z + 1) * h * w,
+              slice.data());
+    const Tensor logits = net.forward(autograd::Var(slice)).value();
+    for (index_t i = 0; i < h * w; ++i) {
+      mask.data()[z * h * w + i] = logits.data()[i] > 0.0f ? 1.0f : 0.0f;
+    }
+  }
+  return mask;
+}
+
+TEST(AhNet, SegmentVolumeBitwiseAcrossWidthsDepthsAndPaths) {
+  for (const bool batch_stats : {false, true}) {
+    seed_init_rng(33);
+    AhNet net;
+    net.set_training(false);
+    net.set_batch_stats_always(batch_stats);
+    Rng rng(34);
+    // Depth 1, depth below the lane count, and depths that are not a
+    // multiple of it.
+    for (const index_t depth : {1, 3, 5, 6}) {
+      Tensor vol({depth, 16, 16});
+      rng.fill_uniform(vol, 0.0, 1.0);
+      const std::uint64_t want = fnv1a64(slice_by_slice_mask(net, vol));
+      for (const bool fusion : {true, false}) {
+        graph::FusionGuard guard(fusion);
+        for (const int width : {1, 2, 4, 8}) {
+          ParallelPin pin(width);
+          EXPECT_EQ(fnv1a64(net.segment_volume(vol)), want)
+              << "batch stats " << batch_stats << ", depth " << depth
+              << ", fusion " << fusion << ", width " << width;
+        }
+      }
+    }
+  }
+}
+
+// -------------------------------------------------------- slice map
+TEST(SliceMap, PinsEachSliceByTheWidthRule) {
+  // Each output plane records the kernel width its slice ran at.
+  const auto widths = [](index_t depth, bool parallel) {
+    return map_slices(Tensor({depth, 2, 2}), "widths", parallel,
+                      [](const Tensor&, real_t* out) {
+                        out[0] = static_cast<real_t>(num_threads());
+                      });
+  };
+  ParallelPin pin(8);
+  for (const index_t depth : {2, 3, 8, 20}) {
+    const Tensor w = widths(depth, true);
+    for (index_t z = 0; z < depth; ++z) {
+      EXPECT_EQ(w.at(z, 0, 0),
+                static_cast<real_t>(std::max<index_t>(1, 8 / depth)))
+          << "depth " << depth;
+    }
+  }
+  // One slice, or slices run in order, keep the caller's width.
+  EXPECT_EQ(widths(1, true).at(0, 0, 0), 8.0f);
+  EXPECT_EQ(widths(3, false).at(2, 0, 0), 8.0f);
+}
+
+TEST(SliceMap, ExceptionInOneSliceReachesTheCaller) {
+  Tensor vol({7, 4, 4});
+  for (index_t z = 0; z < 7; ++z) vol.at(z, 0, 0) = real_t(z);
+  for (const bool parallel : {true, false}) {
+    for (const int width : {1, 4}) {
+      ParallelPin pin(width);
+      EXPECT_THROW(map_slices(vol, "throwing", parallel,
+                              [](const Tensor& slice, real_t*) {
+                                if (slice.at(0, 0) == 5.0f) {
+                                  throw std::runtime_error("slice 5");
+                                }
+                              }),
+                   std::runtime_error)
+          << "parallel " << parallel << ", width " << width;
+    }
+  }
+}
+
+TEST(SliceMap, SlicesRunWithGradientsOff) {
+  ParallelPin pin(4);
+  const Tensor out = map_slices(
+      Tensor({6, 2, 2}), "grad", true, [](const Tensor&, real_t* plane) {
+        plane[0] = autograd::GradMode::enabled() ? 1.0f : 0.0f;
+      });
+  EXPECT_EQ(out.sum(), 0.0f);
 }
 
 // ----------------------------------------------------- initialization

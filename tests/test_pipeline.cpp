@@ -3,6 +3,9 @@
 // framework's diagnose path produces sane outputs.
 #include <gtest/gtest.h>
 
+#include "core/digest.h"
+#include "core/parallel.h"
+#include "graph/graph.h"
 #include "nn/layers.h"
 #include "pipeline/framework.h"
 
@@ -67,6 +70,48 @@ TEST(EnhancementAI, EnhanceVolumeSliceWise) {
   rng.fill_uniform(vol, 0.0, 1.0);
   const Tensor out = ai.enhance_volume(vol);
   EXPECT_EQ(out.shape(), vol.shape());
+}
+
+TEST(EnhancementAI, EnhanceVolumeBitwiseAcrossWidthsAndDepths) {
+  nn::seed_init_rng(5);
+  EnhancementAI ai(tiny_ddnet_cfg());
+  ai.network().set_training(false);
+  Rng rng(7);
+  // Depth 1, depth below the lane count, and depths that are not a
+  // multiple of it.
+  for (const index_t depth : {1, 3, 5, 6}) {
+    Tensor vol({depth, 16, 16});
+    rng.fill_uniform(vol, 0.0, 1.0);
+    // Reference: each slice enhanced on its own, one after another.
+    Tensor want({depth, 16, 16});
+    for (index_t z = 0; z < depth; ++z) {
+      Tensor slice({16, 16});
+      std::copy(vol.data() + z * 256, vol.data() + (z + 1) * 256,
+                slice.data());
+      const Tensor e = ai.enhance(slice);
+      std::copy(e.data(), e.data() + 256, want.data() + z * 256);
+    }
+    for (const bool fusion : {true, false}) {
+      graph::FusionGuard guard(fusion);
+      for (const int width : {1, 2, 4, 8}) {
+        ParallelPin pin(width);
+        EXPECT_EQ(fnv1a64(ai.enhance_volume(vol)), fnv1a64(want))
+            << "depth " << depth << ", fusion " << fusion << ", width "
+            << width;
+      }
+    }
+  }
+}
+
+TEST(EnhancementAI, EnhanceVolumeErrorsReachTheCaller) {
+  nn::seed_init_rng(5);
+  EnhancementAI ai(tiny_ddnet_cfg());
+  ai.network().set_training(false);
+  ParallelPin pin(4);
+  // Tiny DDnet needs extents divisible by 4: every slice throws.
+  EXPECT_THROW(ai.enhance_volume(Tensor({5, 10, 10})),
+               std::invalid_argument);
+  EXPECT_THROW(ai.enhance_volume(Tensor({16, 16})), std::invalid_argument);
 }
 
 TEST(SegmentationAI, TrainingImprovesDice) {
