@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 namespace ccovid {
@@ -37,21 +38,59 @@ void write_tensor_body(std::ofstream& f, const std::string& name,
           static_cast<std::streamsize>(t.numel() * sizeof(real_t)));
 }
 
+/// Bytes between the read position and the end of the file.
+std::uint64_t bytes_left(std::ifstream& f) {
+  const std::streampos here = f.tellg();
+  f.seekg(0, std::ios::end);
+  const std::streampos end = f.tellg();
+  f.seekg(here);
+  if (!f || here < 0 || end < here) {
+    throw std::runtime_error("tensor file: unreadable position");
+  }
+  return static_cast<std::uint64_t>(end - here);
+}
+
+// Every length in the header is checked against the bytes the file
+// still holds BEFORE anything is allocated, so a crafted header can
+// neither request a huge buffer nor overflow the element count.
 std::pair<std::string, Tensor> read_tensor_body(std::ifstream& f) {
   const auto name_len = read_pod<std::uint32_t>(f);
+  if (name_len > bytes_left(f)) {
+    throw std::runtime_error("tensor file: name runs past end of file");
+  }
   std::string name(name_len, '\0');
   f.read(name.data(), name_len);
   const auto rank = read_pod<std::uint32_t>(f);
   if (rank > static_cast<std::uint32_t>(Shape::kMaxRank)) {
     throw std::runtime_error("tensor file: bad rank");
   }
+  // Product of the non-zero dims, bounded so its byte size fits index_t.
+  constexpr std::int64_t kMaxNumel =
+      std::numeric_limits<std::int64_t>::max() /
+      static_cast<std::int64_t>(sizeof(real_t));
   index_t dims[Shape::kMaxRank] = {};
+  std::int64_t numel = 1;
+  bool empty = false;
   for (std::uint32_t i = 0; i < rank; ++i) {
-    dims[i] = read_pod<std::int64_t>(f);
+    const auto d = read_pod<std::int64_t>(f);
+    if (d < 0) throw std::runtime_error("tensor file: negative dim");
+    if (d == 0) {
+      empty = true;
+    } else if (numel > kMaxNumel / d) {
+      throw std::runtime_error("tensor file: element count overflows");
+    } else {
+      numel *= d;
+    }
+    dims[i] = d;
+  }
+  const std::uint64_t data_bytes =
+      empty ? 0 : static_cast<std::uint64_t>(numel) * sizeof(real_t);
+  if (data_bytes > bytes_left(f)) {
+    throw std::runtime_error("tensor file: data runs past end of file");
   }
   Tensor t{Shape(dims, static_cast<int>(rank))};
   f.read(reinterpret_cast<char*>(t.data()),
-         static_cast<std::streamsize>(t.numel() * sizeof(real_t)));
+         static_cast<std::streamsize>(data_bytes));
   if (!f) throw std::runtime_error("tensor file: truncated tensor data");
   return {std::move(name), std::move(t)};
 }

@@ -1,12 +1,14 @@
 // Graph compiler + executor: fusion pass, liveness-based slab planning,
-// and the flat-step interpreter (DESIGN.md §12). The executed math is
-// intentionally the SAME kernel calls the ops make — see graph.h for
-// the bitwise contract and the legality notes inline below.
+// and one step walker over a storage-format trait (DESIGN.md §12). The
+// executed fp32 math is intentionally the SAME kernel calls the ops
+// make — see graph.h for the bitwise contract and the legality notes
+// inline below.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -69,11 +71,7 @@ struct Step {
   // int16 channel-pair layout VPMADDWD consumes: [co][p][k*k][2]
   // (odd trailing input channel zero-padded).
   std::vector<std::int16_t> wq;
-  std::vector<float> wscale;  ///< per-co weight scale (absmax/127)
   std::vector<float> m;       ///< per-co dequant multiplier s_in * s_w
-  float s_in = 1.0f;          ///< int8 activation scale of input 0
-  float s_out = 1.0f;         ///< int8 activation scale of the output
-  float inv_out = 1.0f;       ///< 1 / s_out
   bool concat_fast = false;   ///< int8 concat is pure pair memcpy
 };
 
@@ -174,10 +172,10 @@ struct CompiledGraph::Impl {
   Stats stats;
   std::vector<BufferPlan> plans;
 
-  // Low-precision executors (definitions after compile()); the fp32
-  // path stays inline in CompiledGraph::run.
-  Tensor run_half(const Tensor& input, bool bf) const;
-  Tensor run_int8(const Tensor& input) const;
+  /// The step walker, one instantiation per storage format (the
+  /// format traits are defined after compile()).
+  template <class Fmt>
+  Tensor execute(const Tensor& input, const Fmt& fmt) const;
   void prepare_lowp(core::Precision prec);
 };
 
@@ -473,12 +471,11 @@ void build_half_weights(Step* s, bool deconv, bool bf) {
   }
 }
 
-void build_i8_weights(Step* s, bool deconv) {
+void build_i8_weights(Step* s, bool deconv, float s_in) {
   const index_t k2 = s->k * s->k;
   const index_t cin = deconv ? s->weight.dim(0) : s->weight.dim(1);
   const index_t cout = deconv ? s->weight.dim(1) : s->weight.dim(0);
   const index_t cinp = (cin + 1) / 2;
-  s->wscale.resize(size_t(cout));
   s->m.resize(size_t(cout));
   s->wq.assign(size_t(cout * cinp * k2 * 2), 0);
   const real_t* wp = s->weight.data();
@@ -496,8 +493,7 @@ void build_i8_weights(Step* s, bool deconv) {
     }
     const float sw = amax > 0.0f ? amax / 127.0f : 1.0f;
     const float inv = 1.0f / sw;
-    s->wscale[size_t(co)] = sw;
-    s->m[size_t(co)] = s->s_in * sw;
+    s->m[size_t(co)] = s_in * sw;
     for (index_t ci = 0; ci < cin; ++ci) {
       const real_t* src = tap(co, ci);
       std::int16_t* dst =
@@ -521,7 +517,7 @@ void CompiledGraph::Impl::prepare_lowp(core::Precision prec) {
   const bool i8 = prec == core::Precision::kInt8;
   const bool bf = prec == core::Precision::kBf16;
   for (Step& s : im->steps) {
-    // The low-precision executors materialize the graph output in fp32
+    // Below fp32 the executor materializes the graph output in fp32
     // only; a graph whose output feeds another node would need a
     // quantized copy too. No supported network does that.
     for (int in : s.in_nodes) {
@@ -530,17 +526,11 @@ void CompiledGraph::Impl::prepare_lowp(core::Precision prec) {
             "compile: low-precision graphs cannot read the output node");
       }
     }
-    if (i8) {
-      s.s_in = s.in_nodes.empty()
-                   ? 1.0f
-                   : im->node_scale[size_t(s.in_nodes[0])];
-      s.s_out = im->node_scale[size_t(s.out_node)];
-      s.inv_out = 1.0f / s.s_out;
-    }
     const bool deconv = s.kind == OpKind::kDeconv2d;
     if (s.kind == OpKind::kConv2d || s.kind == OpKind::kDeconv2d) {
       if (i8) {
-        build_i8_weights(&s, deconv);
+        build_i8_weights(&s, deconv,
+                         im->node_scale[size_t(s.in_nodes[0])]);
       } else {
         build_half_weights(&s, deconv, bf);
       }
@@ -548,10 +538,11 @@ void CompiledGraph::Impl::prepare_lowp(core::Precision prec) {
       // Calibration unifies concat groups, so this normally holds and
       // the quantized concat is pure pair movement; odd channel counts
       // or divergent scales fall back to dequant/requant.
+      const float s_out = im->node_scale[size_t(s.out_node)];
       bool fast = s.out_shape.c % 2 == 0;
       for (size_t j = 0; j < s.in_nodes.size(); ++j) {
         fast = fast && s.concat_c[j] % 2 == 0 &&
-               im->node_scale[size_t(s.in_nodes[j])] == s.s_out;
+               im->node_scale[size_t(s.in_nodes[j])] == s_out;
       }
       s.concat_fast = fast;
     }
@@ -604,616 +595,560 @@ CompiledGraph compile(const Graph& g, const CompileOptions& opt) {
   return CompiledGraph(std::move(impl));
 }
 
-// --------------------------------------------- fp16/bf16 executor
+// ------------------------------------------------------ storage formats
 //
-// Weights and every intermediate value are stored as 16-bit elements;
-// arithmetic is fp32 (single-rounding fmadd in the conv kernels, the
-// ops' own fp32 expressions elsewhere). The graph input converts once
-// at entry, each step's store narrows with RNE, and the graph output
-// materializes in fp32.
-Tensor CompiledGraph::Impl::run_half(const Tensor& input, bool bf) const {
-  TRACE_SPAN("graph.run_half");
-  const simd::KernelTable& kt = simd::kernels();
-  const auto cvt_to = bf ? kt.cvt_f32_to_bf16 : kt.cvt_f32_to_f16;
-  const auto cvt_from = bf ? kt.cvt_bf16_to_f32 : kt.cvt_f16_to_f32;
-  const auto store_ep =
-      bf ? kt.scale_shift_act_store_bf16 : kt.scale_shift_act_store_f16;
+// Impl::execute walks the schedule once for every storage format. What
+// differs between formats lives in one small trait each:
+//
+//   Elem, kGroup   stored element type, and the channels one storage
+//                  group holds: int8 interleaves channel pairs, the
+//                  other formats store planar channels
+//   kSlabBytes     bytes per planned element (plans count fp32
+//                  elements; every format fits in that many bytes)
+//   load, store    one group of planes (for planar formats, any flat
+//                  run of elements) widened to fp32 scratch and
+//                  narrowed back. The fp32 load returns the stored
+//                  planes themselves and its store never runs: every
+//                  fp32 step writes its destination directly.
+//   copies_concat  whether a concat is pure movement of stored elements
+//   conv           the conv/deconv job, which keeps each format's own
+//                  numeric contract (DESIGN.md §13)
+//
+// Below fp32 the graph input enters through the format's store. Every
+// format writes the step that defines the graph output straight in fp32.
 
+namespace {
+
+/// Output rows per banded low-precision conv job.
+constexpr index_t kTileRows = 16;
+
+/// Splits a conv job index into (image, output-channel group, row band),
+/// the band varying fastest.
+struct ConvJob {
+  index_t ni, co0, oy0, oy1;
+  ConvJob(index_t job, index_t group, index_t ngroups, index_t nbands,
+          index_t h)
+      : ni(job / (ngroups * nbands)),
+        co0(job / nbands % ngroups * group),
+        oy0(job % nbands * kTileRows),
+        oy1(std::min(h, oy0 + kTileRows)) {}
+};
+
+struct F32 {
+  using Elem = real_t;
+  static constexpr index_t kGroup = 1;
+  static constexpr std::size_t kSlabBytes = sizeof(real_t);
+
+  const real_t* load(int, const real_t* p, index_t, index_t,
+                     ArenaScope&) const {
+    return p;
+  }
+  void store(int, const real_t*, index_t, index_t, real_t*) const {}
+  bool copies_concat(const Step&, const real_t*) const { return true; }
+
+  // Two-rounding quad rows. Output channels run in groups of four
+  // through the quad row kernels: four independent accumulator chains
+  // share every input-row load, which both hides FMA latency and
+  // quarters the input traffic. Each chain replays the single-channel
+  // (ci, ky, kx) tap order, so results stay bitwise identical to
+  // ops::conv2d / ops::deconv2d at any group split. A job owns whole
+  // planes, so instance statistics are complete when its epilogue runs.
+  void conv(const Step& s, const real_t* src, real_t*, real_t* yf) const {
+    const simd::KernelTable& kt = simd::kernels();
+    const bool deconv = s.kind == OpKind::kDeconv2d;
+    const real_t* wp = s.weight.data();
+    const ValueShape in = s.in_shape, o = s.out_shape;
+    const index_t cin = in.c, cout = o.c, k = s.k, pad = s.pad;
+    const index_t spatial = o.h * o.w;
+    const index_t ngroups = (cout + 3) / 4;
+    parallel_for(
+        0, o.n * ngroups,
+        [&](index_t job) {
+          const index_t ni = job / ngroups;
+          const index_t co0 = (job % ngroups) * 4;
+          const int nco = int(std::min<index_t>(4, cout - co0));
+          const real_t* in_n = src + ni * cin * in.h * in.w;
+          real_t* out_p = yf + (ni * cout + co0) * spatial;
+          const real_t* bias_p = s.bias.data() + co0;
+          if (deconv) {
+            for (index_t oy = 0; oy < o.h; ++oy) {
+              kt.deconv2d_row4_s1(in_n, wp + co0 * k * k, cout * k * k,
+                                  k * k, out_p + oy * o.w, spatial, nco,
+                                  cin, in.h, in.w, k, oy, pad, o.w,
+                                  bias_p);
+            }
+          } else {
+            for (index_t oy = 0; oy < o.h; ++oy) {
+              kt.conv2d_row4_s1(in_n, wp + co0 * cin * k * k, k * k,
+                                cin * k * k, out_p + oy * o.w, spatial,
+                                nco, cin, in.h, in.w, k, oy, pad, o.w,
+                                bias_p);
+            }
+          }
+          if (s.has_affine || s.inorm) {
+            // The fused epilogue: bn (+ activation) applied in place on
+            // planes that are still cache-hot.
+            for (int j = 0; j < nco; ++j) {
+              real_t* p = out_p + j * spatial;
+              const auto [sc, sh] = plane_affine(s, co0 + j, p, spatial);
+              kt.scale_shift_act(p, p, spatial, sc, sh, s.act, s.slope);
+            }
+          }
+        },
+        /*grain=*/1);
+  }
+};
+
+/// fp16 / bf16: weights and every intermediate value are stored as
+/// 16-bit elements; arithmetic is fp32, and each store narrows with RNE.
+struct Half {
+  using Elem = std::uint16_t;
+  static constexpr index_t kGroup = 1;
+  static constexpr std::size_t kSlabBytes = sizeof(std::uint16_t);
+
+  const simd::KernelTable& kt;
+  void (*to)(const float*, std::uint16_t*, index_t);
+  void (*from)(const std::uint16_t*, float*, index_t);
+  void (*store_ep)(const float*, std::uint16_t*, index_t, float, float, int,
+                   float);
+
+  explicit Half(bool bf)
+      : kt(simd::kernels()),
+        to(bf ? kt.cvt_f32_to_bf16 : kt.cvt_f32_to_f16),
+        from(bf ? kt.cvt_bf16_to_f32 : kt.cvt_f16_to_f32),
+        store_ep(bf ? kt.scale_shift_act_store_bf16
+                    : kt.scale_shift_act_store_f16) {}
+
+  const real_t* load(int, const Elem* p, index_t nch, index_t hw,
+                     ArenaScope& ws) const {
+    real_t* x = ws.alloc_floats(nch * hw);
+    from(p, x, nch * hw);
+    return x;
+  }
+  void store(int, const real_t* y, index_t nch, index_t hw, Elem* p) const {
+    to(y, p, nch * hw);
+  }
+  bool copies_concat(const Step&, const real_t* yf) const { return !yf; }
+
+  // Widened single-rounding FMA octets. The weights and a band of input
+  // rows widen once per job, then the fp32-load FMA row kernel runs:
+  // widening is elementwise-exact and the _fma kernel keeps the
+  // convert-on-load kernels' accumulation order and single rounding,
+  // so the bits are theirs. Octets, not quads: the row8 kernel
+  // amortizes each pass over the widened input across 8 output
+  // channels, which matters because the co=8 dense-layer convs are
+  // memory-bound (grouping is bit-neutral — each channel keeps its own
+  // fmadd order). Jobs run over (n, octet, 16-row band), so even the
+  // 8/16-channel layers split into enough jobs to fill every lane.
+  void conv(const Step& s, const Elem* src, Elem* dst, real_t* yf) const {
+    const auto row =
+        s.kind == OpKind::kDeconv2d ? kt.deconv2d_row8_s1_fma
+                                    : kt.conv2d_row8_s1_fma;
+    const ValueShape in = s.in_shape, o = s.out_shape;
+    const index_t cin = in.c, cout = o.c, k = s.k, pad = s.pad;
+    const index_t spatial = o.h * o.w, in_hw = in.h * in.w;
+    const index_t ngroups = (cout + 7) / 8;
+    const index_t nbands = (o.h + kTileRows - 1) / kTileRows;
+    parallel_for(
+        0, o.n * ngroups * nbands,
+        [&](index_t job) {
+          const ConvJob jb(job, 8, ngroups, nbands, o.h);
+          const int nco = int(std::min<index_t>(8, cout - jb.co0));
+          const index_t count = (jb.oy1 - jb.oy0) * o.w;
+          ArenaScope ws;
+          const index_t wcount = index_t(nco) * cin * k * k;
+          real_t* wbuf = ws.alloc_floats(wcount);
+          from(s.whalf.data() + jb.co0 * cin * k * k, wbuf, wcount);
+          // fp32 accumulators: the graph output's own rows, or scratch.
+          const index_t ostride = yf ? spatial : count;
+          real_t* acc = yf ? yf + (jb.ni * cout + jb.co0) * spatial +
+                                 jb.oy0 * o.w
+                           : ws.alloc_floats(index_t(nco) * count);
+          // Banded widening: the input rows [oy0-pad, oy1-1+pad]
+          // clipped to the image, small enough to stay in L2. With
+          // "same" padding the kernel's border clamps over (band
+          // height, local oy) coincide exactly with the full-image
+          // clamps — for conv and deconv alike — so every output keeps
+          // its bits while the k-fold tap re-reads come from L2.
+          const index_t by0 = std::max<index_t>(0, jb.oy0 - pad);
+          const index_t bh = std::min<index_t>(in.h, jb.oy1 + pad) - by0;
+          real_t* band = ws.alloc_floats(cin * bh * in.w);
+          {
+            TRACE_SPAN_V("graph.step.conv.widen");
+            const Elem* src_n = src + jb.ni * cin * in_hw;
+            for (index_t ci = 0; ci < cin; ++ci) {
+              from(src_n + ci * in_hw + by0 * in.w, band + ci * bh * in.w,
+                   bh * in.w);
+            }
+          }
+          for (index_t oy = jb.oy0; oy < jb.oy1; ++oy) {
+            row(band, wbuf, k * k, cin * k * k, acc + (oy - jb.oy0) * o.w,
+                ostride, nco, cin, bh, in.w, k, oy - by0, pad, o.w,
+                s.bias.data() + jb.co0);
+          }
+          for (int j = 0; j < nco; ++j) {
+            real_t* a = acc + j * ostride;
+            const size_t co = size_t(jb.co0 + j);
+            if (yf) {
+              if (s.has_affine) {
+                kt.scale_shift_act(a, a, count, s.scale[co], s.shift[co],
+                                   s.act, s.slope);
+              }
+              continue;
+            }
+            Elem* q = dst + (jb.ni * cout + index_t(co)) * spatial +
+                      jb.oy0 * o.w;
+            if (s.has_affine) {
+              store_ep(a, q, count, s.scale[co], s.shift[co], s.act,
+                       s.slope);
+            } else {
+              // Plain converting copy: an identity-affine madd would
+              // flip the sign of -0.
+              to(a, q, count);
+            }
+          }
+        },
+        /*grain=*/1);
+  }
+};
+
+/// Calibrated symmetric int8: activations live as channel-pair
+/// interleaved int8 planes (core/simd.h), one storage group per pair.
+struct Int8 {
+  using Elem = std::int8_t;
+  static constexpr index_t kGroup = 2;
+  // Pair interleaving rounds odd channel counts up, so a value needs at
+  // most 2x its element count in bytes.
+  static constexpr std::size_t kSlabBytes = 2;
+
+  const std::vector<float>& scale;  ///< per node id (calibration)
+  const simd::KernelTable& kt = simd::kernels();
+
+  const real_t* load(int node, const Elem* p, index_t nch, index_t hw,
+                     ArenaScope& ws) const {
+    real_t* x = ws.alloc_floats(nch * hw);
+    kt.dequant_i8_to_f32(p, x, nch == 2 ? x + hw : nullptr, hw,
+                         scale[size_t(node)]);
+    return x;
+  }
+  void store(int node, const real_t* y, index_t nch, index_t hw,
+             Elem* p) const {
+    kt.quant_f32_to_i8(y, nch == 2 ? y + hw : nullptr, p, hw,
+                       1.0f / scale[size_t(node)]);
+  }
+  // Calibration unifies concat groups, so a concat is normally pure
+  // pair movement; odd channel counts or divergent scales go through
+  // fp32.
+  bool copies_concat(const Step& s, const real_t* yf) const {
+    return !yf && s.concat_fast;
+  }
+
+  // Exact-int32 VPMADDWD quads. Jobs run over (n, quad, 16-row band);
+  // the fused epilogue dequantizes, applies the hoisted bn/activation in
+  // fp32 and requantizes to the consumer's scale (or stores the fp32
+  // graph output).
+  void conv(const Step& s, const Elem* src, Elem* dst, real_t* yf) const {
+    const auto row = s.kind == OpKind::kDeconv2d ? kt.deconv2d_row4_s1_i8
+                                                 : kt.conv2d_row4_s1_i8;
+    const ValueShape in = s.in_shape, o = s.out_shape;
+    const index_t cout = o.c, k = s.k;
+    const index_t hw_i = in.h * in.w, spatial = o.h * o.w;
+    const index_t cinp = (in.c + 1) / 2, cpo = (cout + 1) / 2;
+    const index_t wstride_co = cinp * k * k * 2;
+    const index_t ngroups = (cout + 3) / 4;
+    const index_t nbands = (o.h + kTileRows - 1) / kTileRows;
+    const float inv_out = 1.0f / scale[size_t(s.out_node)];
+    parallel_for(
+        0, o.n * ngroups * nbands,
+        [&](index_t job) {
+          const ConvJob jb(job, 4, ngroups, nbands, o.h);
+          const int nco = int(std::min<index_t>(4, cout - jb.co0));
+          const index_t count = (jb.oy1 - jb.oy0) * o.w;
+          ArenaScope ws;
+          std::int32_t* acc = static_cast<std::int32_t*>(ws.alloc(
+              std::size_t(nco) * std::size_t(count) * sizeof(std::int32_t)));
+          const Elem* in_n = src + jb.ni * cinp * hw_i * 2;
+          const std::int16_t* wg = s.wq.data() + jb.co0 * wstride_co;
+          for (index_t oy = jb.oy0; oy < jb.oy1; ++oy) {
+            row(in_n, wg, wstride_co, acc + (oy - jb.oy0) * o.w, count, nco,
+                cinp, in.h, in.w, k, oy, s.pad, o.w);
+          }
+          if (yf) {
+            for (int j = 0; j < nco; ++j) {
+              const size_t co = size_t(jb.co0 + j);
+              kt.dequant_epilogue_f32(
+                  acc + j * count,
+                  yf + (jb.ni * cout + index_t(co)) * spatial +
+                      jb.oy0 * o.w,
+                  count, s.m[co], s.bias[co], s.has_affine ? 1 : 0,
+                  s.has_affine ? s.scale[co] : 1.0f,
+                  s.has_affine ? s.shift[co] : 0.0f, s.act, s.slope);
+            }
+            return;
+          }
+          for (int t = 0; 2 * t < nco; ++t) {
+            const size_t ce = size_t(jb.co0 + 2 * t);
+            const bool two = 2 * t + 1 < nco;
+            simd::QuantEpilogueParams p;
+            p.m0 = s.m[ce];
+            p.bias0 = s.bias[ce];
+            p.m1 = two ? s.m[ce + 1] : 1.0f;
+            p.bias1 = two ? s.bias[ce + 1] : 0.0f;
+            p.has_affine = s.has_affine ? 1 : 0;
+            if (s.has_affine) {
+              p.scale0 = s.scale[ce];
+              p.shift0 = s.shift[ce];
+              if (two) {
+                p.scale1 = s.scale[ce + 1];
+                p.shift1 = s.shift[ce + 1];
+              }
+            }
+            p.act = s.act;
+            p.slope = s.slope;
+            p.inv_out = inv_out;
+            kt.quant_epilogue_store_i8(
+                acc + 2 * t * count, two ? acc + (2 * t + 1) * count : nullptr,
+                dst + (jb.ni * cpo + index_t(ce) / 2) * spatial * 2 +
+                    jb.oy0 * o.w * 2,
+                count, p);
+          }
+        },
+        /*grain=*/1);
+  }
+};
+
+}  // namespace
+
+template <class Fmt>
+Tensor CompiledGraph::Impl::execute(const Tensor& input,
+                                    const Fmt& fmt) const {
+  using E = typename Fmt::Elem;
+  constexpr bool kF32 = std::is_same_v<E, real_t>;
+  constexpr index_t G = Fmt::kGroup;
+  const simd::KernelTable& kt = simd::kernels();
   Tensor out({out_shape.n, out_shape.c, out_shape.h, out_shape.w});
   real_t* out_data = out.data();
 
+  // All intermediates live in this thread's arena for the duration of
+  // the call; concurrent run() callers therefore never share buffers.
+  // Below fp32 the block also holds the converted graph input.
   ArenaScope scope;
-  const index_t in_numel = in_shape.numel();
   std::vector<std::size_t> bytes;
   for (index_t f : slab_sizes) {
-    bytes.push_back(std::size_t(f) * sizeof(std::uint16_t));
+    bytes.push_back(std::size_t(f) * Fmt::kSlabBytes);
   }
-  bytes.push_back(std::size_t(in_numel) * sizeof(std::uint16_t));
+  bytes.push_back(kF32 ? 0 : std::size_t(in_shape.numel()) * Fmt::kSlabBytes);
   const std::vector<char*> block = carve(scope, bytes);
-  std::vector<std::uint16_t*> slab(slab_sizes.size());
-  for (size_t i = 0; i < slab_sizes.size(); ++i) {
-    slab[i] = reinterpret_cast<std::uint16_t*>(block[i]);
-  }
-  std::uint16_t* in_half = reinterpret_cast<std::uint16_t*>(block.back());
-  cvt_to(input.data(), in_half, in_numel);
 
-  const auto ptr = [&](int node) -> std::uint16_t* {
+  // Calls fn(ni, c0, nch) in parallel for each storage group of a value:
+  // channels [c0, c0 + nch) of image ni.
+  const auto each_group = [&](const ValueShape& v, const auto& fn) {
+    const index_t ng = (v.c + G - 1) / G;
+    parallel_for(
+        0, v.n * ng,
+        [&](index_t job) {
+          const index_t c0 = job % ng * G;
+          fn(job / ng, c0, std::min(G, v.c - c0));
+        },
+        /*grain=*/1);
+  };
+  // Element offset of channel c0 of image ni in a stored value (channel
+  // count padded to whole groups) and in an fp32 tensor.
+  const auto stored_at = [](const ValueShape& v, index_t ni, index_t c0) {
+    return (ni * ((v.c + G - 1) / G * G) + c0) * v.h * v.w;
+  };
+  const auto f32_at = [](const ValueShape& v, index_t ni, index_t c0) {
+    return (ni * v.c + c0) * v.h * v.w;
+  };
+
+  const E* in_data = nullptr;
+  if constexpr (kF32) {
+    in_data = input.data();
+  } else {
+    E* q = reinterpret_cast<E*>(block.back());
+    const index_t hw = in_shape.h * in_shape.w;
+    each_group(in_shape, [&](index_t ni, index_t c0, index_t nch) {
+      fmt.store(0, input.data() + f32_at(in_shape, ni, c0), nch, hw,
+                q + stored_at(in_shape, ni, c0));
+    });
+    in_data = q;
+  }
+  // Below fp32 no step reads the graph output (prepare_lowp), and the
+  // step that defines it writes fp32 `out` instead of a stored value.
+  const auto ptr = [&](int node) -> E* {
     const int loc = value_loc[size_t(node)];
-    if (loc == kLocInput) return in_half;
-    return slab[size_t(loc)];
+    if (loc == kLocInput) return const_cast<E*>(in_data);
+    if (loc == kLocOutput) {
+      return kF32 ? reinterpret_cast<E*>(out_data) : nullptr;
+    }
+    return reinterpret_cast<E*>(block[size_t(loc)]) +
+           value_off[size_t(node)];
   };
 
   for (const Step& s : steps) {
-    const bool is_out = value_loc[size_t(s.out_node)] == kLocOutput;
-    std::uint16_t* dst = is_out ? nullptr : ptr(s.out_node);
+    const ValueShape in = s.in_shape, o = s.out_shape;
+    // dst: the stored output value; yf: its fp32 destination, when the
+    // step writes one directly (the graph output, or any fp32 value).
+    E* const dst = ptr(s.out_node);
+    real_t* yf =
+        value_loc[size_t(s.out_node)] == kLocOutput ? out_data : nullptr;
+    if constexpr (kF32) yf = dst;
+
+    // Calls body(x, y, c) for each output channel c of a one-input
+    // step, on fp32 planes: x of the input, y of the output.
+    const auto map_planes = [&](const auto& body) {
+      const index_t ihw = in.h * in.w, ohw = o.h * o.w;
+      const E* src = ptr(s.in_nodes[0]);
+      each_group(o, [&](index_t ni, index_t c0, index_t nch) {
+        ArenaScope ws;
+        const real_t* x = fmt.load(s.in_nodes[0], src + stored_at(in, ni, c0),
+                                   nch, ihw, ws);
+        real_t* y = yf ? yf + f32_at(o, ni, c0) : ws.alloc_floats(nch * ohw);
+        for (index_t j = 0; j < nch; ++j) {
+          body(x + j * ihw, y + j * ohw, c0 + j);
+        }
+        if (!yf) {
+          fmt.store(s.out_node, y, nch, ohw, dst + stored_at(o, ni, c0));
+        }
+      });
+    };
+    // Calls body(a, b, y, n) on fp32 runs of n elements of an
+    // elementwise step (b is null with one input). Planar formats split
+    // flat runs, the way the ops do; int8 splits by channel pair.
+    const auto map_elements = [&](const auto& body) {
+      const bool two = s.in_nodes.size() > 1;
+      const E* a = ptr(s.in_nodes[0]);
+      const E* b = two ? ptr(s.in_nodes[1]) : nullptr;
+      const auto span = [&](index_t at, index_t yat, index_t nch,
+                            index_t hw) {
+        ArenaScope ws;
+        const real_t* xa = fmt.load(s.in_nodes[0], a + at, nch, hw, ws);
+        const real_t* xb =
+            two ? fmt.load(s.in_nodes[1], b + at, nch, hw, ws) : nullptr;
+        real_t* y = yf ? yf + yat : ws.alloc_floats(nch * hw);
+        body(xa, xb, y, nch * hw);
+        if (!yf) fmt.store(s.out_node, y, nch, hw, dst + at);
+      };
+      if constexpr (G == 1) {
+        parallel_for_blocked(
+            0, o.numel(),
+            [&](index_t lo, index_t hi) { span(lo, lo, 1, hi - lo); },
+            /*grain=*/1 << 16);
+      } else {
+        each_group(o, [&](index_t ni, index_t c0, index_t nch) {
+          span(stored_at(o, ni, c0), f32_at(o, ni, c0), nch, o.h * o.w);
+        });
+      }
+    };
+
     switch (s.kind) {
       case OpKind::kConv2d:
       case OpKind::kDeconv2d: {
         TRACE_SPAN_V("graph.step.conv");
-        const bool deconv = s.kind == OpKind::kDeconv2d;
-        const std::uint16_t* src = ptr(s.in_nodes[0]);
-        const ValueShape in = s.in_shape, o = s.out_shape;
-        const index_t cin = in.c, cout = o.c, k = s.k, pad = s.pad;
-        const index_t spatial = o.h * o.w;
-        const index_t ngroups = (cout + 7) / 8;
-        // Widen the step input ONCE, then run the fp32-load FMA row
-        // kernel. The converting row kernels re-read (and re-convert)
-        // every input row k times per tap loop, for each co group —
-        // ~k * ngroups redundant converts per element at the graph
-        // level. Widening is elementwise-exact and the _fma kernel
-        // keeps the same accumulation order and single-rounding
-        // contract, so the output bits are unchanged (per-precision
-        // golden digests pin this). Groups are OCTETS, not quads: the
-        // row8 kernel amortizes each pass over the widened input
-        // across 8 output channels, which matters because the co=8
-        // dense-layer convs are memory-bound (grouping is also
-        // bit-neutral — each channel keeps its own fmadd order).
-        const index_t in_hw = in.h * in.w;
-        parallel_for(
-            0, o.n * ngroups,
-            [&](index_t job) {
-              const index_t ni = job / ngroups;
-              const index_t co0 = (job % ngroups) * 8;
-              const int nco = int(std::min<index_t>(8, cout - co0));
-              const std::uint16_t* src_n = src + ni * cin * in_hw;
-              const real_t* bias_p = s.bias.data() + co0;
-              // Worker-local scratch: the co-group's weights convert
-              // to fp32 ONCE per job (amortized over every output
-              // row), plus fp32 accumulator planes unless the step
-              // materializes the fp32 graph output directly.
-              ArenaScope ws;
-              const index_t wcount = index_t(nco) * cin * k * k;
-              real_t* wbuf = ws.alloc_floats(wcount);
-              cvt_from(s.whalf.data() + co0 * cin * k * k, wbuf, wcount);
-              real_t* acc = is_out
-                                ? out_data + (ni * cout + co0) * spatial
-                                : ws.alloc_floats(index_t(nco) * spatial);
-              // Banded widening: instead of materializing the whole
-              // fp32 input (which the tap loops then stream from L3 at
-              // twice the stored bytes), widen a sliding tile of input
-              // rows into a band buffer small enough to stay in L2 and
-              // hand the kernel a band-local view. With "same" padding
-              // the band [oy0-pad, oy1-1+pad] clipped to the image
-              // makes the kernel's border clamps over (band height,
-              // local oy) coincide exactly with the full-image clamps
-              // — for conv and deconv alike — so every output keeps
-              // its bits while the heavy k-fold re-reads come from L2.
-              constexpr index_t kTileRows = 16;
-              real_t* band =
-                  ws.alloc_floats(cin * (kTileRows + (k - 1)) * in.w);
-              for (index_t oy0 = 0; oy0 < o.h; oy0 += kTileRows) {
-                const index_t oy1 =
-                    std::min<index_t>(o.h, oy0 + kTileRows);
-                const index_t by0 = std::max<index_t>(0, oy0 - pad);
-                const index_t by1 =
-                    std::min<index_t>(in.h, oy1 + pad);
-                const index_t bh = by1 - by0;
-                {
-                  TRACE_SPAN_V("graph.step.conv.widen");
-                  for (index_t ci = 0; ci < cin; ++ci) {
-                    cvt_from(src_n + ci * in_hw + by0 * in.w,
-                             band + ci * bh * in.w, bh * in.w);
-                  }
-                }
-                for (index_t oy = oy0; oy < oy1; ++oy) {
-                  if (deconv) {
-                    kt.deconv2d_row8_s1_fma(band, wbuf, k * k,
-                                            cin * k * k, acc + oy * o.w,
-                                            spatial, nco, cin, bh, in.w,
-                                            k, oy - by0, pad, o.w,
-                                            bias_p);
-                  } else {
-                    kt.conv2d_row8_s1_fma(band, wbuf, k * k, cin * k * k,
-                                          acc + oy * o.w, spatial, nco,
-                                          cin, bh, in.w, k, oy - by0,
-                                          pad, o.w, bias_p);
-                  }
-                }
-              }
-              if (is_out) {
-                if (s.has_affine) {
-                  for (int j = 0; j < nco; ++j) {
-                    kt.scale_shift_act(acc + j * spatial, acc + j * spatial,
-                                       spatial, s.scale[size_t(co0 + j)],
-                                       s.shift[size_t(co0 + j)], s.act,
-                                       s.slope);
-                  }
-                }
-              } else {
-                std::uint16_t* outp = dst + (ni * cout + co0) * spatial;
-                for (int j = 0; j < nco; ++j) {
-                  if (s.has_affine) {
-                    store_ep(acc + j * spatial, outp + j * spatial,
-                             spatial, s.scale[size_t(co0 + j)],
-                             s.shift[size_t(co0 + j)], s.act, s.slope);
-                  } else {
-                    // Plain converting copy: an identity-affine madd
-                    // would flip the sign of -0.
-                    cvt_to(acc + j * spatial, outp + j * spatial, spatial);
-                  }
-                }
-              }
-            },
-            /*grain=*/1);
+        fmt.conv(s, ptr(s.in_nodes[0]), dst, yf);
         break;
       }
-      case OpKind::kBatchNorm: {
+      case OpKind::kBatchNorm:
+      case OpKind::kInstanceNorm: {
         TRACE_SPAN_V("graph.step.bn");
-        const std::uint16_t* src = ptr(s.in_nodes[0]);
-        const ValueShape o = s.out_shape;
         const index_t spatial = o.h * o.w;
-        parallel_for(
-            0, o.n * o.c,
-            [&](index_t plane) {
-              const index_t c = plane % o.c;
-              ArenaScope ws;
-              real_t* tmp = ws.alloc_floats(spatial);
-              cvt_from(src + plane * spatial, tmp, spatial);
-              if (is_out) {
-                real_t* dp = out_data + plane * spatial;
-                if (s.act == 0) {
-                  kt.scale_shift(tmp, dp, spatial, s.scale[size_t(c)],
-                                 s.shift[size_t(c)]);
-                } else {
-                  kt.scale_shift_act(tmp, dp, spatial, s.scale[size_t(c)],
-                                     s.shift[size_t(c)], s.act, s.slope);
-                }
-              } else {
-                store_ep(tmp, dst + plane * spatial, spatial,
-                         s.scale[size_t(c)], s.shift[size_t(c)], s.act,
-                         s.slope);
-              }
-            },
-            /*grain=*/1);
+        map_planes([&](const real_t* x, real_t* y, index_t c) {
+          const auto [sc, sh] = plane_affine(s, c, x, spatial);
+          // act == 0 keeps the op's exact scale_shift kernel; with a
+          // fused activation the combined kernel applies the same two
+          // per-element expressions in one pass.
+          if (s.act == 0) {
+            kt.scale_shift(x, y, spatial, sc, sh);
+          } else {
+            kt.scale_shift_act(x, y, spatial, sc, sh, s.act, s.slope);
+          }
+        });
         break;
       }
       case OpKind::kRelu:
       case OpKind::kLeakyRelu: {
         TRACE_SPAN_V("graph.step.act");
-        const std::uint16_t* src = ptr(s.in_nodes[0]);
-        const index_t total = s.out_shape.numel();
-        parallel_for_blocked(
-            0, total,
-            [&](index_t lo, index_t hi) {
-              const index_t n = hi - lo;
-              ArenaScope ws;
-              real_t* ta = ws.alloc_floats(n);
-              cvt_from(src + lo, ta, n);
-              if (is_out) {
-                if (s.act == 1) {
-                  kt.relu(ta, out_data + lo, n);
-                } else {
-                  kt.leaky_relu(ta, out_data + lo, n, s.slope);
-                }
+        // Standalone activation: the op's own kernel (NOT the affine
+        // epilogue — an identity madd would flip the sign of -0).
+        map_elements(
+            [&](const real_t* x, const real_t*, real_t* y, index_t n) {
+              if (s.act == 1) {
+                kt.relu(x, y, n);
               } else {
-                real_t* tb = ws.alloc_floats(n);
-                if (s.act == 1) {
-                  kt.relu(ta, tb, n);
-                } else {
-                  kt.leaky_relu(ta, tb, n, s.slope);
-                }
-                cvt_to(tb, dst + lo, n);
+                kt.leaky_relu(x, y, n, s.slope);
               }
-            },
-            /*grain=*/1 << 16);
+            });
         break;
       }
       case OpKind::kMaxPool: {
         TRACE_SPAN_V("graph.step.pool");
-        const std::uint16_t* src = ptr(s.in_nodes[0]);
-        const ValueShape in = s.in_shape, o = s.out_shape;
-        parallel_for(
-            0, o.n * o.c,
-            [&](index_t plane) {
-              ArenaScope ws;
-              real_t* tin = ws.alloc_floats(in.h * in.w);
-              cvt_from(src + plane * in.h * in.w, tin, in.h * in.w);
-              if (is_out) {
-                ops::max_pool2d_plane(tin, out_data + plane * o.h * o.w,
-                                      nullptr, in.h, in.w, o.h, o.w,
-                                      s.pool);
-              } else {
-                real_t* tout = ws.alloc_floats(o.h * o.w);
-                ops::max_pool2d_plane(tin, tout, nullptr, in.h, in.w, o.h,
-                                      o.w, s.pool);
-                cvt_to(tout, dst + plane * o.h * o.w, o.h * o.w);
-              }
-            },
-            /*grain=*/1);
+        map_planes([&](const real_t* x, real_t* y, index_t) {
+          ops::max_pool2d_plane(x, y, /*arg_p=*/nullptr, in.h, in.w, o.h,
+                                o.w, s.pool);
+        });
         break;
       }
       case OpKind::kUnpool: {
         TRACE_SPAN_V("graph.step.unpool");
-        const std::uint16_t* src = ptr(s.in_nodes[0]);
-        const ValueShape in = s.in_shape, o = s.out_shape;
-        parallel_for(
-            0, o.n * o.c,
-            [&](index_t plane) {
-              ArenaScope ws;
-              real_t* tin = ws.alloc_floats(in.h * in.w);
-              cvt_from(src + plane * in.h * in.w, tin, in.h * in.w);
-              if (is_out) {
-                ops::unpool2d_bilinear_plane(tin,
-                                             out_data + plane * o.h * o.w,
-                                             in.w, o.h, o.w, s.ly.data(),
-                                             s.lx.data());
-              } else {
-                real_t* tout = ws.alloc_floats(o.h * o.w);
-                ops::unpool2d_bilinear_plane(tin, tout, in.w, o.h, o.w,
-                                             s.ly.data(), s.lx.data());
-                cvt_to(tout, dst + plane * o.h * o.w, o.h * o.w);
-              }
-            },
-            /*grain=*/1);
+        map_planes([&](const real_t* x, real_t* y, index_t) {
+          ops::unpool2d_bilinear_plane(x, y, in.w, o.h, o.w, s.ly.data(),
+                                       s.lx.data());
+        });
         break;
       }
       case OpKind::kConcat: {
         TRACE_SPAN_V("graph.step.concat");
-        const ValueShape o = s.out_shape;
         const index_t hw = o.h * o.w;
+        if (fmt.copies_concat(s, yf)) {
+          index_t c_off = 0;
+          for (size_t j = 0; j < s.in_nodes.size(); ++j) {
+            const E* src = ptr(s.in_nodes[j]);
+            const index_t chan = s.concat_c[j];
+            for (index_t ni = 0; ni < o.n; ++ni) {
+              E* to = dst + stored_at(o, ni, c_off);
+              const E* from = src + ni * chan * hw;
+              // An input planned in place already sits in its slice.
+              if (to == from) continue;
+              std::memcpy(to, from, size_t(chan * hw) * sizeof(E));
+            }
+            c_off += chan;
+          }
+          break;
+        }
+        // Through fp32: every input widens into its slice of the fp32
+        // output, or of a scratch copy that is then stored.
+        ArenaScope ss;
+        real_t* t = yf ? yf : ss.alloc_floats(o.numel());
         index_t c_off = 0;
         for (size_t j = 0; j < s.in_nodes.size(); ++j) {
-          const std::uint16_t* src = ptr(s.in_nodes[j]);
-          const index_t chan = s.concat_c[j];
-          for (index_t ni = 0; ni < o.n; ++ni) {
-            if (is_out) {
-              cvt_from(src + ni * chan * hw,
-                       out_data + (ni * o.c + c_off) * hw, chan * hw);
-            } else {
-              std::memcpy(dst + (ni * o.c + c_off) * hw,
-                          src + ni * chan * hw,
-                          size_t(chan * hw) * sizeof(std::uint16_t));
-            }
-          }
-          c_off += chan;
+          const int node = s.in_nodes[j];
+          const E* src = ptr(node);
+          const ValueShape v{o.n, s.concat_c[j], o.h, o.w};
+          each_group(v, [&](index_t ni, index_t c0, index_t nch) {
+            ArenaScope ws;
+            const real_t* x =
+                fmt.load(node, src + stored_at(v, ni, c0), nch, hw, ws);
+            std::memcpy(t + f32_at(o, ni, c_off + c0), x,
+                        size_t(nch * hw) * sizeof(real_t));
+          });
+          c_off += v.c;
+        }
+        if (!yf) {
+          each_group(o, [&](index_t ni, index_t c0, index_t nch) {
+            fmt.store(s.out_node, t + f32_at(o, ni, c0), nch, hw,
+                      dst + stored_at(o, ni, c0));
+          });
         }
         break;
       }
       case OpKind::kAdd: {
         TRACE_SPAN_V("graph.step.add");
-        const std::uint16_t* a = ptr(s.in_nodes[0]);
-        const std::uint16_t* b = ptr(s.in_nodes[1]);
-        parallel_for_blocked(
-            0, s.out_shape.numel(),
-            [&](index_t lo, index_t hi) {
-              const index_t n = hi - lo;
-              ArenaScope ws;
-              real_t* ta = ws.alloc_floats(n);
-              real_t* tb = ws.alloc_floats(n);
-              cvt_from(a + lo, ta, n);
-              cvt_from(b + lo, tb, n);
-              for (index_t i = 0; i < n; ++i) ta[i] = ta[i] + tb[i];
-              if (is_out) {
-                std::memcpy(out_data + lo, ta, size_t(n) * sizeof(real_t));
-              } else {
-                cvt_to(ta, dst + lo, n);
-              }
-            },
-            /*grain=*/1 << 16);
+        map_elements(
+            [](const real_t* a, const real_t* b, real_t* y, index_t n) {
+              for (index_t i = 0; i < n; ++i) y[i] = a[i] + b[i];
+            });
         break;
       }
-      case OpKind::kInstanceNorm:  // fp32 only: compile() rejects it here
-      case OpKind::kInput:
-        break;
-    }
-  }
-  return out;
-}
-
-// -------------------------------------------------- int8 executor
-//
-// Calibrated symmetric quantization: activations live as channel-pair
-// interleaved int8 planes, conv/deconv accumulate exact int32 and the
-// fused epilogue dequantizes, applies the hoisted bn/activation in
-// fp32, and requantizes to the consumer's scale. Non-conv steps run
-// the generic dequant -> fp32 op -> requant staging (concat short-cuts
-// to pair memcpy when calibration unified its group).
-Tensor CompiledGraph::Impl::run_int8(const Tensor& input) const {
-  TRACE_SPAN("graph.run_int8");
-  const simd::KernelTable& kt = simd::kernels();
-  Tensor out({out_shape.n, out_shape.c, out_shape.h, out_shape.w});
-  real_t* out_data = out.data();
-
-  ArenaScope scope;
-  const index_t hw_in = in_shape.h * in_shape.w;
-  const index_t cp_in = (in_shape.c + 1) / 2;
-  // Pair interleaving rounds odd channel counts up, so a value needs at
-  // most 2x its element count in bytes — covered by 2x the fp32 element
-  // plan.
-  std::vector<std::size_t> bytes;
-  for (index_t f : slab_sizes) bytes.push_back(std::size_t(f) * 2);
-  bytes.push_back(std::size_t(in_shape.n * cp_in * hw_in * 2));
-  const std::vector<char*> block = carve(scope, bytes);
-  std::vector<std::int8_t*> slab(slab_sizes.size());
-  for (size_t i = 0; i < slab_sizes.size(); ++i) {
-    slab[i] = reinterpret_cast<std::int8_t*>(block[i]);
-  }
-  std::int8_t* in_q = reinterpret_cast<std::int8_t*>(block.back());
-  const float in_inv = 1.0f / node_scale[0];
-  parallel_for(
-      0, in_shape.n * cp_in,
-      [&](index_t job) {
-        const index_t ni = job / cp_in, p = job % cp_in;
-        const real_t* x0 = input.data() + (ni * in_shape.c + 2 * p) * hw_in;
-        const real_t* x1 = 2 * p + 1 < in_shape.c ? x0 + hw_in : nullptr;
-        kt.quant_f32_to_i8(x0, x1, in_q + (ni * cp_in + p) * hw_in * 2,
-                           hw_in, in_inv);
-      },
-      /*grain=*/1);
-
-  const auto ptr = [&](int node) -> std::int8_t* {
-    const int loc = value_loc[size_t(node)];
-    if (loc == kLocInput) return in_q;
-    return slab[size_t(loc)];
-  };
-  // Planar fp32 staging of one quantized value (generic steps).
-  const auto dequant_node = [&](int node, ValueShape sh, real_t* buf) {
-    const index_t hw = sh.h * sh.w;
-    const index_t cp = (sh.c + 1) / 2;
-    const std::int8_t* src = ptr(node);
-    const float sc = node_scale[size_t(node)];
-    parallel_for(
-        0, sh.n * cp,
-        [&](index_t job) {
-          const index_t ni = job / cp, p = job % cp;
-          real_t* x0 = buf + (ni * sh.c + 2 * p) * hw;
-          real_t* x1 = 2 * p + 1 < sh.c ? x0 + hw : nullptr;
-          kt.dequant_i8_to_f32(src + (ni * cp + p) * hw * 2, x0, x1, hw,
-                               sc);
-        },
-        /*grain=*/1);
-  };
-  const auto requant_value = [&](const real_t* buf, ValueShape sh,
-                                 float inv, std::int8_t* q) {
-    const index_t hw = sh.h * sh.w;
-    const index_t cp = (sh.c + 1) / 2;
-    parallel_for(
-        0, sh.n * cp,
-        [&](index_t job) {
-          const index_t ni = job / cp, p = job % cp;
-          const real_t* x0 = buf + (ni * sh.c + 2 * p) * hw;
-          const real_t* x1 = 2 * p + 1 < sh.c ? x0 + hw : nullptr;
-          kt.quant_f32_to_i8(x0, x1, q + (ni * cp + p) * hw * 2, hw, inv);
-        },
-        /*grain=*/1);
-  };
-
-  for (const Step& s : steps) {
-    const bool is_out = value_loc[size_t(s.out_node)] == kLocOutput;
-    std::int8_t* dst = is_out ? nullptr : ptr(s.out_node);
-    const ValueShape o = s.out_shape;
-    switch (s.kind) {
-      case OpKind::kConv2d:
-      case OpKind::kDeconv2d: {
-        TRACE_SPAN_V("graph.step.conv");
-        const bool deconv = s.kind == OpKind::kDeconv2d;
-        const std::int8_t* src = ptr(s.in_nodes[0]);
-        const ValueShape in = s.in_shape;
-        const index_t cin = in.c, cout = o.c, k = s.k, pad = s.pad;
-        const index_t hw_i = in.h * in.w, spatial = o.h * o.w;
-        const index_t cinp = (cin + 1) / 2;
-        const index_t cpo = (cout + 1) / 2;
-        const index_t wstride_co = cinp * k * k * 2;
-        const index_t ngroups = (cout + 3) / 4;
-        parallel_for(
-            0, o.n * ngroups,
-            [&](index_t job) {
-              const index_t ni = job / ngroups;
-              const index_t co0 = (job % ngroups) * 4;
-              const int nco = int(std::min<index_t>(4, cout - co0));
-              const std::int8_t* in_n = src + ni * cinp * hw_i * 2;
-              ArenaScope ws;
-              std::int32_t* acc = static_cast<std::int32_t*>(ws.alloc(
-                  std::size_t(nco) * std::size_t(spatial) *
-                  sizeof(std::int32_t)));
-              const std::int16_t* wg = s.wq.data() + co0 * wstride_co;
-              for (index_t oy = 0; oy < o.h; ++oy) {
-                if (deconv) {
-                  kt.deconv2d_row4_s1_i8(in_n, wg, wstride_co,
-                                         acc + oy * o.w, spatial, nco,
-                                         cinp, in.h, in.w, k, oy, pad,
-                                         o.w);
-                } else {
-                  kt.conv2d_row4_s1_i8(in_n, wg, wstride_co,
-                                       acc + oy * o.w, spatial, nco, cinp,
-                                       in.h, in.w, k, oy, pad, o.w);
-                }
-              }
-              if (is_out) {
-                for (int j = 0; j < nco; ++j) {
-                  const size_t co = size_t(co0 + j);
-                  kt.dequant_epilogue_f32(
-                      acc + j * spatial,
-                      out_data + (ni * cout + co0 + j) * spatial, spatial,
-                      s.m[co], s.bias[co], s.has_affine ? 1 : 0,
-                      s.has_affine ? s.scale[co] : 1.0f,
-                      s.has_affine ? s.shift[co] : 0.0f, s.act, s.slope);
-                }
-              } else {
-                for (int t = 0; 2 * t < nco; ++t) {
-                  const size_t ce = size_t(co0 + 2 * t);
-                  const bool two = 2 * t + 1 < nco;
-                  simd::QuantEpilogueParams p;
-                  p.m0 = s.m[ce];
-                  p.bias0 = s.bias[ce];
-                  p.m1 = two ? s.m[ce + 1] : 1.0f;
-                  p.bias1 = two ? s.bias[ce + 1] : 0.0f;
-                  p.has_affine = s.has_affine ? 1 : 0;
-                  if (s.has_affine) {
-                    p.scale0 = s.scale[ce];
-                    p.shift0 = s.shift[ce];
-                    if (two) {
-                      p.scale1 = s.scale[ce + 1];
-                      p.shift1 = s.shift[ce + 1];
-                    }
-                  }
-                  p.act = s.act;
-                  p.slope = s.slope;
-                  p.inv_out = s.inv_out;
-                  kt.quant_epilogue_store_i8(
-                      acc + 2 * t * spatial,
-                      two ? acc + (2 * t + 1) * spatial : nullptr,
-                      dst + (ni * cpo + index_t(ce) / 2) * spatial * 2,
-                      spatial, p);
-                }
-              }
-            },
-            /*grain=*/1);
-        break;
-      }
-      case OpKind::kConcat: {
-        TRACE_SPAN_V("graph.step.concat");
-        const index_t hw = o.h * o.w;
-        if (is_out) {
-          // Dequantize each input straight into its fp32 output slot.
-          index_t c_off = 0;
-          for (size_t j = 0; j < s.in_nodes.size(); ++j) {
-            const std::int8_t* src = ptr(s.in_nodes[j]);
-            const float sc = node_scale[size_t(s.in_nodes[j])];
-            const index_t chan = s.concat_c[j];
-            const index_t cp = (chan + 1) / 2;
-            for (index_t ni = 0; ni < o.n; ++ni) {
-              for (index_t p = 0; p < cp; ++p) {
-                real_t* x0 = out_data + (ni * o.c + c_off + 2 * p) * hw;
-                real_t* x1 = 2 * p + 1 < chan ? x0 + hw : nullptr;
-                kt.dequant_i8_to_f32(src + (ni * cp + p) * hw * 2, x0, x1,
-                                     hw, sc);
-              }
-            }
-            c_off += chan;
-          }
-        } else if (s.concat_fast) {
-          // Unified scales + even channels: pure pair movement.
-          const index_t cpo = o.c / 2;
-          index_t p_off = 0;
-          for (size_t j = 0; j < s.in_nodes.size(); ++j) {
-            const std::int8_t* src = ptr(s.in_nodes[j]);
-            const index_t cp = s.concat_c[j] / 2;
-            for (index_t ni = 0; ni < o.n; ++ni) {
-              std::memcpy(dst + (ni * cpo + p_off) * hw * 2,
-                          src + ni * cp * hw * 2,
-                          std::size_t(cp * hw * 2));
-            }
-            p_off += cp;
-          }
-        } else {
-          ArenaScope ss;
-          real_t* buf = ss.alloc_floats(o.numel());
-          index_t c_off = 0;
-          for (size_t j = 0; j < s.in_nodes.size(); ++j) {
-            const index_t chan = s.concat_c[j];
-            ArenaScope js;
-            real_t* jin = js.alloc_floats(o.n * chan * hw);
-            dequant_node(s.in_nodes[j], ValueShape{o.n, chan, o.h, o.w},
-                         jin);
-            for (index_t ni = 0; ni < o.n; ++ni) {
-              std::memcpy(buf + (ni * o.c + c_off) * hw,
-                          jin + ni * chan * hw,
-                          std::size_t(chan * hw) * sizeof(real_t));
-            }
-            c_off += chan;
-          }
-          requant_value(buf, o, s.inv_out, dst);
-        }
-        break;
-      }
-      case OpKind::kBatchNorm:
-      case OpKind::kRelu:
-      case OpKind::kLeakyRelu:
-      case OpKind::kMaxPool:
-      case OpKind::kUnpool:
-      case OpKind::kAdd: {
-        TRACE_SPAN_V("graph.step.generic_lowp");
-        ArenaScope ss;
-        const ValueShape in0 = s.in_shape;
-        real_t* fin = ss.alloc_floats(in0.numel());
-        dequant_node(s.in_nodes[0], in0, fin);
-        real_t* fout = is_out ? out_data : ss.alloc_floats(o.numel());
-        const index_t spatial = o.h * o.w;
-        if (s.kind == OpKind::kBatchNorm) {
-          parallel_for(
-              0, o.n * o.c,
-              [&](index_t plane) {
-                const index_t c = plane % o.c;
-                if (s.act == 0) {
-                  kt.scale_shift(fin + plane * spatial,
-                                 fout + plane * spatial, spatial,
-                                 s.scale[size_t(c)], s.shift[size_t(c)]);
-                } else {
-                  kt.scale_shift_act(fin + plane * spatial,
-                                     fout + plane * spatial, spatial,
-                                     s.scale[size_t(c)],
-                                     s.shift[size_t(c)], s.act, s.slope);
-                }
-              },
-              /*grain=*/1);
-        } else if (s.kind == OpKind::kRelu ||
-                   s.kind == OpKind::kLeakyRelu) {
-          parallel_for_blocked(
-              0, o.numel(),
-              [&](index_t lo, index_t hi) {
-                if (s.act == 1) {
-                  kt.relu(fin + lo, fout + lo, hi - lo);
-                } else {
-                  kt.leaky_relu(fin + lo, fout + lo, hi - lo, s.slope);
-                }
-              },
-              /*grain=*/1 << 16);
-        } else if (s.kind == OpKind::kMaxPool) {
-          parallel_for(
-              0, o.n * o.c,
-              [&](index_t plane) {
-                ops::max_pool2d_plane(fin + plane * in0.h * in0.w,
-                                      fout + plane * spatial, nullptr,
-                                      in0.h, in0.w, o.h, o.w, s.pool);
-              },
-              /*grain=*/1);
-        } else if (s.kind == OpKind::kUnpool) {
-          parallel_for(
-              0, o.n * o.c,
-              [&](index_t plane) {
-                ops::unpool2d_bilinear_plane(fin + plane * in0.h * in0.w,
-                                             fout + plane * spatial, in0.w,
-                                             o.h, o.w, s.ly.data(),
-                                             s.lx.data());
-              },
-              /*grain=*/1);
-        } else {  // kAdd
-          real_t* fin2 = ss.alloc_floats(o.numel());
-          dequant_node(s.in_nodes[1], o, fin2);
-          parallel_for_blocked(
-              0, o.numel(),
-              [&](index_t lo, index_t hi) {
-                for (index_t i = lo; i < hi; ++i) {
-                  fout[i] = fin[i] + fin2[i];
-                }
-              },
-              /*grain=*/1 << 16);
-        }
-        if (!is_out) requant_value(fout, o, s.inv_out, dst);
-        break;
-      }
-      case OpKind::kInstanceNorm:  // fp32 only: compile() rejects it here
       case OpKind::kInput:
         break;
     }
@@ -1232,203 +1167,17 @@ Tensor CompiledGraph::run(const Tensor& input) const {
                                 im.in_shape.str());
   }
   if (im.steps.empty() || im.out_node == 0) return input.clone();
-
-  if (im.prec == core::Precision::kF16 ||
-      im.prec == core::Precision::kBf16) {
-    return im.run_half(input, im.prec == core::Precision::kBf16);
+  switch (im.prec) {
+    case core::Precision::kF16:
+      return im.execute(input, Half(/*bf=*/false));
+    case core::Precision::kBf16:
+      return im.execute(input, Half(/*bf=*/true));
+    case core::Precision::kInt8:
+      return im.execute(input, Int8{im.node_scale});
+    case core::Precision::kF32:
+      break;
   }
-  if (im.prec == core::Precision::kInt8) return im.run_int8(input);
-
-  Tensor out({im.out_shape.n, im.out_shape.c, im.out_shape.h,
-              im.out_shape.w});
-  const real_t* in_data = input.data();
-  real_t* out_data = out.data();
-
-  // All intermediates live in this thread's arena for the duration of
-  // the call; concurrent run() callers therefore never share buffers.
-  ArenaScope scope;
-  std::vector<std::size_t> bytes;
-  for (index_t f : im.slab_sizes) {
-    bytes.push_back(std::size_t(f) * sizeof(real_t));
-  }
-  const std::vector<char*> block = carve(scope, bytes);
-  const auto ptr = [&](int node) -> real_t* {
-    const int loc = im.value_loc[size_t(node)];
-    if (loc == kLocInput) return const_cast<real_t*>(in_data);
-    if (loc == kLocOutput) return out_data;
-    return reinterpret_cast<real_t*>(block[size_t(loc)]) +
-           im.value_off[size_t(node)];
-  };
-
-  const simd::KernelTable& kt = simd::kernels();
-
-  for (const Step& s : im.steps) {
-    real_t* dst = ptr(s.out_node);
-    switch (s.kind) {
-      case OpKind::kConv2d:
-      case OpKind::kDeconv2d: {
-        TRACE_SPAN_V("graph.step.conv");
-        const bool deconv = s.kind == OpKind::kDeconv2d;
-        const real_t* src = ptr(s.in_nodes[0]);
-        const real_t* wp = s.weight.data();
-        const ValueShape in = s.in_shape, o = s.out_shape;
-        const index_t cin = in.c, cout = o.c, k = s.k, pad = s.pad;
-        const index_t spatial = o.h * o.w;
-        // Output channels run in groups of four through the quad row
-        // kernels: four independent accumulator chains share every
-        // input-row load, which both hides FMA latency and quarters
-        // the input traffic. Each chain replays the single-channel
-        // (ci, ky, kx) tap order, so results stay bitwise identical to
-        // ops::conv2d / ops::deconv2d at any group split.
-        const index_t ngroups = (cout + 3) / 4;
-        parallel_for(
-            0, o.n * ngroups,
-            [&](index_t job) {
-              const index_t ni = job / ngroups;
-              const index_t co0 = (job % ngroups) * 4;
-              const int nco = int(std::min<index_t>(4, cout - co0));
-              const real_t* in_n = src + ni * cin * in.h * in.w;
-              real_t* out_p = dst + (ni * cout + co0) * spatial;
-              const real_t* bias_p = s.bias.data() + co0;
-              if (deconv) {
-                for (index_t oy = 0; oy < o.h; ++oy) {
-                  kt.deconv2d_row4_s1(in_n, wp + co0 * k * k, cout * k * k,
-                                      k * k, out_p + oy * o.w, spatial, nco,
-                                      cin, in.h, in.w, k, oy, pad, o.w,
-                                      bias_p);
-                }
-              } else {
-                for (index_t oy = 0; oy < o.h; ++oy) {
-                  kt.conv2d_row4_s1(in_n, wp + co0 * cin * k * k, k * k,
-                                    cin * k * k, out_p + oy * o.w, spatial,
-                                    nco, cin, in.h, in.w, k, oy, pad, o.w,
-                                    bias_p);
-                }
-              }
-              if (s.has_affine || s.inorm) {
-                // The fused epilogue: bn (+ activation) applied in
-                // place on planes that are still cache-hot. The job
-                // owns whole planes, so instance statistics are
-                // complete by now.
-                for (int j = 0; j < nco; ++j) {
-                  real_t* p = out_p + j * spatial;
-                  const auto [sc, sh] = plane_affine(s, co0 + j, p, spatial);
-                  kt.scale_shift_act(p, p, spatial, sc, sh, s.act, s.slope);
-                }
-              }
-            },
-            /*grain=*/1);
-        break;
-      }
-      case OpKind::kBatchNorm:
-      case OpKind::kInstanceNorm: {
-        TRACE_SPAN_V("graph.step.bn");
-        const real_t* src = ptr(s.in_nodes[0]);
-        const ValueShape o = s.out_shape;
-        const index_t spatial = o.h * o.w;
-        parallel_for(
-            0, o.n * o.c,
-            [&](index_t plane) {
-              const real_t* x = src + plane * spatial;
-              const auto [sc, sh] = plane_affine(s, plane % o.c, x, spatial);
-              // act == 0 keeps the op's exact scale_shift kernel; with a
-              // fused activation the combined kernel applies the same
-              // two per-element expressions in one pass.
-              if (s.act == 0) {
-                kt.scale_shift(x, dst + plane * spatial, spatial, sc, sh);
-              } else {
-                kt.scale_shift_act(x, dst + plane * spatial, spatial, sc, sh,
-                                   s.act, s.slope);
-              }
-            },
-            /*grain=*/1);
-        break;
-      }
-      case OpKind::kRelu:
-      case OpKind::kLeakyRelu: {
-        TRACE_SPAN_V("graph.step.act");
-        // Standalone activation: the op's own kernel (NOT the affine
-        // epilogue — an identity madd would flip the sign of -0).
-        const real_t* src = ptr(s.in_nodes[0]);
-        const index_t total = s.out_shape.numel();
-        parallel_for_blocked(
-            0, total,
-            [&](index_t lo, index_t hi) {
-              if (s.act == 1) {
-                kt.relu(src + lo, dst + lo, hi - lo);
-              } else {
-                kt.leaky_relu(src + lo, dst + lo, hi - lo, s.slope);
-              }
-            },
-            /*grain=*/1 << 16);
-        break;
-      }
-      case OpKind::kMaxPool: {
-        TRACE_SPAN_V("graph.step.pool");
-        const real_t* src = ptr(s.in_nodes[0]);
-        const ValueShape in = s.in_shape, o = s.out_shape;
-        parallel_for(
-            0, o.n * o.c,
-            [&](index_t plane) {
-              ops::max_pool2d_plane(src + plane * in.h * in.w,
-                                    dst + plane * o.h * o.w,
-                                    /*arg_p=*/nullptr, in.h, in.w, o.h,
-                                    o.w, s.pool);
-            },
-            /*grain=*/1);
-        break;
-      }
-      case OpKind::kUnpool: {
-        TRACE_SPAN_V("graph.step.unpool");
-        const real_t* src = ptr(s.in_nodes[0]);
-        const ValueShape in = s.in_shape, o = s.out_shape;
-        parallel_for(
-            0, o.n * o.c,
-            [&](index_t plane) {
-              ops::unpool2d_bilinear_plane(src + plane * in.h * in.w,
-                                           dst + plane * o.h * o.w, in.w,
-                                           o.h, o.w, s.ly.data(),
-                                           s.lx.data());
-            },
-            /*grain=*/1);
-        break;
-      }
-      case OpKind::kConcat: {
-        TRACE_SPAN_V("graph.step.concat");
-        const ValueShape o = s.out_shape;
-        const index_t hw = o.h * o.w;
-        index_t c_off = 0;
-        for (size_t j = 0; j < s.in_nodes.size(); ++j) {
-          const real_t* src = ptr(s.in_nodes[j]);
-          const index_t chan = s.concat_c[j];
-          for (index_t ni = 0; ni < o.n; ++ni) {
-            real_t* to = dst + (ni * o.c + c_off) * hw;
-            const real_t* from = src + ni * chan * hw;
-            // An input planned in place already sits in its slice.
-            if (to == from) continue;
-            std::memcpy(to, from, size_t(chan * hw) * sizeof(real_t));
-          }
-          c_off += chan;
-        }
-        break;
-      }
-      case OpKind::kAdd: {
-        TRACE_SPAN_V("graph.step.add");
-        const real_t* a = ptr(s.in_nodes[0]);
-        const real_t* b = ptr(s.in_nodes[1]);
-        parallel_for_blocked(
-            0, s.out_shape.numel(),
-            [&](index_t lo, index_t hi) {
-              for (index_t i = lo; i < hi; ++i) dst[i] = a[i] + b[i];
-            },
-            /*grain=*/1 << 16);
-        break;
-      }
-      case OpKind::kInput:
-        break;
-    }
-  }
-  return out;
+  return im.execute(input, F32{});
 }
 
 }  // namespace ccovid::graph

@@ -454,42 +454,4 @@ Calibration calibrate(const Graph& g, const std::vector<Tensor>& batch) {
   return cal;
 }
 
-// -------------------------------------------------------- utilities
-
-FoldedConv fold_batchnorm(const Tensor& weight, const Tensor& bias,
-                          const Tensor& gamma, const Tensor& beta,
-                          const Tensor& mean, const Tensor& var, real_t eps,
-                          bool deconv_layout) {
-  const index_t cout = deconv_layout ? weight.dim(1) : weight.dim(0);
-  if (gamma.dim(0) != cout) {
-    throw std::invalid_argument("fold_batchnorm: channel mismatch");
-  }
-  FoldedConv f{weight.clone(), Tensor({cout})};
-  const real_t* gp = gamma.data();
-  const real_t* bp = beta.data();
-  const real_t* mp = mean.data();
-  const real_t* vp = var.data();
-  real_t* fb = f.bias.data();
-  real_t* fw = f.weight.data();
-  const index_t k2 = weight.dim(2) * weight.dim(3);
-  for (index_t co = 0; co < cout; ++co) {
-    const real_t inv_std = 1.0f / std::sqrt(vp[co] + eps);
-    const real_t s = gp[co] * inv_std;
-    const real_t b0 = bias.defined() ? bias.data()[co] : 0.0f;
-    fb[co] = (b0 - mp[co]) * s + bp[co];
-    if (deconv_layout) {
-      // (Cin, Cout, K, K): the co slice is strided.
-      const index_t cin = weight.dim(0), w_cout = weight.dim(1);
-      for (index_t ci = 0; ci < cin; ++ci) {
-        real_t* slice = fw + (ci * w_cout + co) * k2;
-        for (index_t i = 0; i < k2; ++i) slice[i] *= s;
-      }
-    } else {
-      real_t* slice = fw + co * weight.dim(1) * k2;
-      for (index_t i = 0; i < weight.dim(1) * k2; ++i) slice[i] *= s;
-    }
-  }
-  return f;
-}
-
 }  // namespace ccovid::graph

@@ -25,10 +25,6 @@
 //  * activations keep the per-element expressions of simd relu /
 //    leaky_relu (scale_shift_act shares them verbatim).
 //
-// The closed-form weight fold is still provided (fold_batchnorm) for
-// the quantization work in ROADMAP item 4; it is tested to tolerance,
-// not bitwise, and the executor does not use it.
-//
 // Fusion legality: a batch-norm's scale/shift are hoisted to compile
 // time only when its running statistics are frozen (eval mode, NOT
 // set_batch_stats_always). In batch-stats-always mode the builders
@@ -266,23 +262,5 @@ CompiledGraph compile(const Graph& g, const CompileOptions& opt = {});
 /// unfused reference the equivalence fuzzer compares against. Matches
 /// the nn::Module eval-mode forward bitwise.
 Tensor run_reference(const Graph& g, const Tensor& input);
-
-// -------------------------------------------------------- utilities
-
-/// Closed-form batch-norm fold into conv weights:
-///   w'[co,...] = w[co,...] * gamma[co] / sqrt(var[co] + eps)
-///   b'[co]     = (b[co] - mean[co]) * gamma[co] / sqrt(var[co] + eps)
-///                + beta[co]
-/// `deconv_layout` selects the (Cin,Cout,K,K) channel axis. Changes
-/// rounding versus the epilogue form, so the executor does not use it;
-/// provided (and tested to tolerance) for the low-precision backends.
-struct FoldedConv {
-  Tensor weight;
-  Tensor bias;
-};
-FoldedConv fold_batchnorm(const Tensor& weight, const Tensor& bias,
-                          const Tensor& gamma, const Tensor& beta,
-                          const Tensor& mean, const Tensor& var, real_t eps,
-                          bool deconv_layout = false);
 
 }  // namespace ccovid::graph

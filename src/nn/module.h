@@ -101,7 +101,7 @@ class Module {
 /// the core/half.h RNE conversions, int8 via symmetric per-leading-axis
 /// absmax scales with the executor's clamp+lrintf rounding. Rank-0/1
 /// parameters (biases, norm gains) are untouched, mirroring the graph
-/// executors, which keep those fp32 at every precision.
+/// executor, which keeps those fp32 at every precision.
 ///
 /// This is how accuracy deltas are measured for networks without a
 /// compiled-graph path (the 3-D classifiers behind the AUC numbers):

@@ -102,110 +102,6 @@ void sgemm(const real_t* a, const real_t* b, real_t* c, index_t m,
       /*grain=*/1);
 }
 
-void sgemm_half(const std::uint16_t* a, const std::uint16_t* b, real_t* c,
-                index_t m, index_t k, index_t n, bool bf) {
-  std::fill_n(c, m * n, 0.0f);
-  const simd::KernelTable& kt = simd::kernels();
-  const auto cvt = bf ? kt.cvt_bf16_to_f32 : kt.cvt_f16_to_f32;
-  const index_t row_blocks = (m + kMc - 1) / kMc;
-  parallel_for(
-      0, row_blocks,
-      [&](index_t rb) {
-        // Same blocking as sgemm; the packs widen 16-bit storage to the
-        // fp32 the micro kernel consumes. A's block rows widen once per
-        // (rb, p0) and B's strips during the pack, so no multiply ever
-        // touches a half value and the FP order matches sgemm exactly.
-        ArenaScope scope;
-        real_t* bpack = scope.alloc_floats(kKc * kNc);
-        real_t* apack = scope.alloc_floats(kMc * kKc);
-        real_t* bedge = scope.alloc_floats(kKc * 8);
-        const index_t i0 = rb * kMc;
-        const index_t i1 = std::min(m, i0 + kMc);
-        for (index_t p0 = 0; p0 < k; p0 += kKc) {
-          const index_t p1 = std::min(k, p0 + kKc);
-          const index_t kc = p1 - p0;
-          for (index_t i = i0; i < i1; ++i) {
-            cvt(a + i * k + p0, apack + (i - i0) * kc, kc);
-          }
-          for (index_t j0 = 0; j0 < n; j0 += kNc) {
-            const index_t j1 = std::min(n, j0 + kNc);
-            const index_t panels = (j1 - j0) / 8;
-            for (index_t t = 0; t < panels; ++t) {
-              const std::uint16_t* CCOVID_RESTRICT src =
-                  b + p0 * n + j0 + t * 8;
-              real_t* CCOVID_RESTRICT dst = bpack + t * kc * 8;
-              for (index_t p = 0; p < kc; ++p) {
-                cvt(src + p * n, dst + p * 8, 8);
-              }
-            }
-            // Narrow right-edge columns widen once per block into a
-            // kc x nr strip the scalar edge kernel reads in place of
-            // sgemm's unpacked B (values and order identical).
-            const index_t nr = (j1 - j0) - panels * 8;
-            const index_t je = j1 - nr;
-            if (nr > 0) {
-              for (index_t p = 0; p < kc; ++p) {
-                cvt(b + (p0 + p) * n + je, bedge + p * nr, nr);
-              }
-            }
-            index_t i = i0;
-            for (; i + 4 <= i1; i += 4) {
-              index_t j = j0;
-              for (; j + 8 <= j1; j += 8) {
-                kt.sgemm_micro_4x8(apack + (i - i0) * kc, kc,
-                                   bpack + ((j - j0) / 8) * kc * 8,
-                                   c + i * n + j, n, kc);
-              }
-              if (nr > 0) {
-                edge_kernel(apack + (i - i0) * kc, kc, bedge, nr,
-                            c + i * n + je, n, 4, nr, kc);
-              }
-            }
-            if (i < i1) {
-              for (index_t t = 0; t < panels; ++t) {
-                edge_kernel(apack + (i - i0) * kc, kc, bpack + t * kc * 8,
-                            8, c + i * n + j0 + t * 8, n, i1 - i, 8, kc);
-              }
-              if (nr > 0) {
-                edge_kernel(apack + (i - i0) * kc, kc, bedge, nr,
-                            c + i * n + je, n, i1 - i, nr, kc);
-              }
-            }
-          }
-        }
-      },
-      /*grain=*/1);
-}
-
-void qgemm_i8(const std::int8_t* a, const std::int8_t* b, real_t* c,
-              index_t m, index_t k, index_t n, float a_scale,
-              const float* b_scale) {
-  parallel_for(
-      0, m,
-      [&](index_t i) {
-        // Row-local exact int32 accumulation (every |a*b| <= 127*127,
-        // far from overflow for any realistic k), then the fp32
-        // dequantization epilogue. Integer sums make the result
-        // trivially independent of backend and task width.
-        ArenaScope scope;
-        std::int32_t* acc = static_cast<std::int32_t*>(
-            scope.alloc(std::size_t(n) * sizeof(std::int32_t)));
-        std::fill_n(acc, n, 0);
-        for (index_t p = 0; p < k; ++p) {
-          const std::int32_t av = a[i * k + p];
-          if (av == 0) continue;
-          const std::int8_t* CCOVID_RESTRICT brow = b + p * n;
-          for (index_t j = 0; j < n; ++j) {
-            acc[j] += av * std::int32_t(brow[j]);
-          }
-        }
-        for (index_t j = 0; j < n; ++j) {
-          c[i * n + j] = float(acc[j]) * (a_scale * b_scale[j]);
-        }
-      },
-      /*grain=*/4);
-}
-
 Tensor matmul(const Tensor& a, const Tensor& b) {
   TRACE_SPAN("ops.gemm.matmul");
   if (a.rank() != 2 || b.rank() != 2 || a.dim(1) != b.dim(0)) {

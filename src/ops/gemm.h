@@ -6,8 +6,6 @@
 // microbenchmarks can compare the two and tests can cross-check them.
 #pragma once
 
-#include <cstdint>
-
 #include "core/tensor.h"
 #include "ops/conv2d.h"
 
@@ -18,27 +16,6 @@ namespace ccovid::ops {
 /// blocks.
 void sgemm(const real_t* a, const real_t* b, real_t* c, index_t m,
            index_t k, index_t n);
-
-/// sgemm over half-width storage: A and B hold fp16 (bf=false) or bf16
-/// (bf=true) bit patterns, C accumulates and stores fp32. The operands
-/// stream at half the bytes and widen during the cache-blocking pack —
-/// the same convert-on-load discipline as the low-precision conv row
-/// kernels — so the multiply-add order is exactly sgemm's and the
-/// result is bitwise identical to sgemm() on pre-widened copies of A
-/// and B (asserted by tests/test_lowprec.cpp).
-void sgemm_half(const std::uint16_t* a, const std::uint16_t* b, real_t* c,
-                index_t m, index_t k, index_t n, bool bf);
-
-/// Calibrated symmetric-int8 GEMM: C = (Aq @ Bq) * a_scale * b_scale[j]
-/// with exact int32 accumulation and a per-output-column (per-channel)
-/// dequantization epilogue. Quantized operands are produced by the
-/// caller (absmax/127 scales; see graph::calibrate). Portable reference
-/// implementation — the hot int8 path is the graph executor's
-/// channel-pair conv kernels; this entry point exists for the im2col /
-/// dense layers and as the semantics oracle in tests.
-void qgemm_i8(const std::int8_t* a, const std::int8_t* b, real_t* c,
-              index_t m, index_t k, index_t n, float a_scale,
-              const float* b_scale);
 
 /// Tensor convenience wrapper: returns A @ B for rank-2 tensors.
 Tensor matmul(const Tensor& a, const Tensor& b);

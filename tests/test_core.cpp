@@ -4,9 +4,12 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "core/counters.h"
 #include "core/image_io.h"
@@ -346,6 +349,88 @@ TEST(Serialize, BadMagicThrows) {
       std::filesystem::temp_directory_path() / "ccovid_bad.tnsr";
   std::ofstream(path) << "not a tensor file at all";
   EXPECT_THROW(load_tensor_map(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+// Hostile headers: every length is checked against the file before
+// anything is allocated.
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+template <typename T>
+void put(std::string* out, T v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(T));
+}
+
+std::string tensor_file_header(std::uint32_t count) {
+  std::string b = "CC19TNSR";
+  put<std::uint32_t>(&b, 1);  // version
+  put<std::uint32_t>(&b, count);
+  return b;
+}
+
+TEST(Serialize, OverflowingDimsThrow) {
+  // Dims (2^31, 2^31, 4): the element count wraps to 0 in 64 bits, so
+  // an unchecked reader "loads" a rank-3 tensor with no storage.
+  std::string b = tensor_file_header(1);
+  put<std::uint32_t>(&b, 6);
+  b += "tensor";
+  put<std::uint32_t>(&b, 3);
+  put<std::int64_t>(&b, std::int64_t{1} << 31);
+  put<std::int64_t>(&b, std::int64_t{1} << 31);
+  put<std::int64_t>(&b, 4);
+  ASSERT_EQ(b.size(), 54u);
+  const std::string path =
+      std::filesystem::temp_directory_path() / "ccovid_dims.tnsr";
+  write_bytes(path, b);
+  EXPECT_THROW(load_tensor_map(path), std::runtime_error);
+
+  // A negative extent is rejected the same way.
+  b = tensor_file_header(1);
+  put<std::uint32_t>(&b, 1);
+  b += "t";
+  put<std::uint32_t>(&b, 1);
+  put<std::int64_t>(&b, -4);
+  write_bytes(path, b);
+  EXPECT_THROW(load_tensor_map(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, OversizedNameLengthThrowsBeforeAllocating) {
+  // 20 bytes claiming a ~4 GiB name.
+  std::string b = tensor_file_header(1);
+  put<std::uint32_t>(&b, 0xFFFFFFF0u);
+  ASSERT_EQ(b.size(), 20u);
+  const std::string path =
+      std::filesystem::temp_directory_path() / "ccovid_name.tnsr";
+  write_bytes(path, b);
+  EXPECT_THROW(load_tensor_map(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, EveryTruncationThrows) {
+  const std::string path =
+      std::filesystem::temp_directory_path() / "ccovid_full.tnsr";
+  TensorMap m;
+  m["a"] = Tensor::from_vector({2, 2}, {1, 2, 3, 4});
+  m["b.weight"] = Tensor::full({3}, -0.5f);
+  save_tensor_map(path, m);
+  std::ifstream in(path, std::ios::binary);
+  const std::string full((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_GT(full.size(), 16u);
+  const std::string cut =
+      std::filesystem::temp_directory_path() / "ccovid_cut.tnsr";
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    write_bytes(cut, full.substr(0, len));
+    EXPECT_THROW(load_tensor_map(cut), std::runtime_error)
+        << "prefix of " << len << " of " << full.size() << " bytes";
+  }
+  write_bytes(cut, full);
+  EXPECT_EQ(load_tensor_map(cut).size(), 2u);
+  std::remove(cut.c_str());
   std::remove(path.c_str());
 }
 

@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "autograd/losses.h"
 #include "core/digest.h"
@@ -34,6 +35,7 @@
 #include "data/phantom.h"
 #include "dist/ddp.h"
 #include "graph/graph.h"
+#include "graph_fuzzer.h"
 #include "nn/ddnet.h"
 #include "nn/layers.h"
 #include "pipeline/framework.h"
@@ -140,34 +142,33 @@ TEST(Golden, DdnetForward) {
   check_golden("ddnet_forward_tiny_s3_in16", h);
 }
 
-// Per-precision digests of the SAME tiny DDnet forward on the
-// compiled-graph path: the low-precision formats have no fp32 history
-// to match, so these digests ARE their numeric contract — across task
-// widths, trace levels and (via the CI backend sweep) SIMD backends.
-// Unlike fp32, a low-precision result is NOT fusion-invariant (values
-// round to the storage format at different step boundaries per mode),
-// so fusion is pinned on — the mode the serve path runs — and width /
-// trace invariance is asserted on its own.
-std::uint64_t lowp_digest_across_widths(core::Precision prec,
-                                        const nn::DDnet& net,
-                                        const Tensor& x) {
-  const core::PrecisionGuard pguard(prec);
-  graph::FusionGuard fguard(true);
+// Computes `body()`'s digest at kernel widths 1, 2 and 8, each with
+// tracing off and at level 2, and asserts all six agree. The
+// low-precision formats have no fp32 history to match, so their digests
+// ARE their numeric contract — across task widths, trace levels and
+// (via the CI backend sweep) SIMD backends. Unlike fp32, a
+// low-precision result is NOT fusion-invariant (values round to the
+// storage format at different step boundaries per mode), so fusion is
+// pinned by the caller and width / trace invariance is asserted on its
+// own.
+template <typename Body>
+std::uint64_t lowp_digest_across_widths(const std::string& what,
+                                        Body&& body) {
   std::uint64_t at1 = 0;
   bool have_reference = false;
   for (const int width : {1, 2, 8}) {
     ParallelPin pin(width);
     for (const int trace_level : {0, 2}) {
       trace::set_level(trace_level);
-      const std::uint64_t h = fnv1a64(net.enhance(x));
+      const std::uint64_t h = body();
       trace::set_level(0);
       if (!have_reference) {
         at1 = h;
         have_reference = true;
       } else {
         EXPECT_EQ(hex64(h), hex64(at1))
-            << core::precision_name(prec) << " digest moved at width "
-            << width << ", trace level " << trace_level
+            << what << " digest moved at width " << width
+            << ", trace level " << trace_level
             << ": the low-precision executor leaked thread count or "
                "tracing into the numerics";
       }
@@ -177,6 +178,8 @@ std::uint64_t lowp_digest_across_widths(core::Precision prec,
   return at1;
 }
 
+// Per-precision digests of the SAME tiny DDnet forward on the
+// compiled-graph path, with fusion on — the mode the serve path runs.
 TEST(Golden, DdnetForwardLowPrecision) {
   nn::seed_init_rng(3);
   nn::DDnet net(nn::DDnetConfig::tiny());
@@ -187,10 +190,50 @@ TEST(Golden, DdnetForwardLowPrecision) {
   for (const core::Precision prec :
        {core::Precision::kF16, core::Precision::kBf16,
         core::Precision::kInt8}) {
-    const std::uint64_t h = lowp_digest_across_widths(prec, net, x);
-    check_golden(std::string("ddnet_forward_tiny_s3_in16_") +
-                     core::precision_name(prec),
-                 h);
+    const core::PrecisionGuard pguard(prec);
+    graph::FusionGuard fguard(true);
+    const std::string name = std::string("ddnet_forward_tiny_s3_in16_") +
+                             core::precision_name(prec);
+    check_golden(name, lowp_digest_across_widths(
+                           name, [&] { return fnv1a64(net.enhance(x)); }));
+  }
+}
+
+// Low-precision digests of the twelve random DAGs of the graph fuzzer
+// (tests/graph_fuzzer.h), fused and unfused. The DDnet digests above
+// pin one fused network; these add unfused graphs and random
+// interleavings of every step kind (standalone bn, activation, pool,
+// unpool, add, odd-channel concats) in every storage format. int8
+// calibrates each DAG on its own input.
+TEST(Golden, GraphFuzzLowPrecision) {
+  for (const core::Precision prec :
+       {core::Precision::kF16, core::Precision::kBf16,
+        core::Precision::kInt8}) {
+    for (const bool fuse : {true, false}) {
+      std::vector<graph_fuzz::FuzzCase> cases;
+      std::vector<graph::CompiledGraph> compiled;
+      for (int seed = 1; seed <= graph_fuzz::kFuzzCases; ++seed) {
+        cases.push_back(graph_fuzz::fuzz_case(seed));
+        graph::CompileOptions opt;
+        opt.fuse = fuse;
+        opt.precision = prec;
+        if (prec == core::Precision::kInt8) {
+          opt.calibration =
+              graph::calibrate(cases.back().g, {cases.back().input});
+        }
+        compiled.push_back(graph::compile(cases.back().g, opt));
+      }
+      const std::string name = std::string("graph_fuzz12_") +
+                               core::precision_name(prec) +
+                               (fuse ? "_fused" : "_unfused");
+      check_golden(name, lowp_digest_across_widths(name, [&] {
+                     std::uint64_t d = kFnv1aOffset;
+                     for (size_t i = 0; i < cases.size(); ++i) {
+                       d = fnv1a64(compiled[i].run(cases[i].input), d);
+                     }
+                     return d;
+                   }));
+    }
   }
 }
 

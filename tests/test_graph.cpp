@@ -1,7 +1,7 @@
 // Graph IR + fusion suite (`ctest -L fast`): IR construction and shape
-// inference, topological-order determinism, the closed-form batch-norm
-// fold, buffer-reuse planner invariants, steady-state allocation
-// flatness, and the fusion-equivalence battery — fused output must be
+// inference, topological-order determinism, buffer-reuse planner
+// invariants, steady-state allocation flatness at every storage
+// format, and the fusion-equivalence battery — fused output must be
 // BITWISE equal to the unfused compiled schedule, the op-by-op
 // reference interpreter, and the nn::Module eval forward, at every
 // compiled SIMD backend and task-engine width. The instance-norm op is
@@ -19,9 +19,11 @@
 #include "core/alloc_cache.h"
 #include "core/digest.h"
 #include "core/parallel.h"
+#include "core/precision.h"
 #include "core/random.h"
 #include "core/simd.h"
 #include "graph/graph.h"
+#include "graph_fuzzer.h"
 #include "nn/ahnet.h"
 #include "nn/ddnet.h"
 #include "nn/layers.h"
@@ -132,56 +134,6 @@ TEST(GraphIR, ScheduleIsDeterministicAndTopological) {
   // Ids are born topologically sorted and the tie-break is min-id, so
   // the canonical order is exactly 0..N-1.
   for (int i = 0; i < int(order.size()); ++i) EXPECT_EQ(order[size_t(i)], i);
-}
-
-// ------------------------------------------------ closed-form fold
-
-TEST(GraphFold, BatchnormFoldMatchesComposedOps) {
-  Rng rng(4);
-  const Tensor x = uniform(rng, {2, 3, 9, 9});
-  const Tensor w = uniform(rng, {5, 3, 3, 3});
-  const Tensor b = uniform(rng, {5});
-  const Tensor gamma = uniform(rng, {5}, 0.5f, 1.5f);
-  const Tensor beta = uniform(rng, {5});
-  const Tensor mean = uniform(rng, {5});
-  const Tensor var = uniform(rng, {5}, 0.5f, 2.0f);
-  const real_t eps = 1e-5f;
-
-  const Tensor composed = ops::batch_norm_infer(
-      ops::conv2d(x, w, b, ops::Conv2dParams{1, 1}), gamma, beta, mean, var,
-      eps);
-  const graph::FoldedConv f =
-      graph::fold_batchnorm(w, b, gamma, beta, mean, var, eps);
-  const Tensor folded =
-      ops::conv2d(x, f.weight, f.bias, ops::Conv2dParams{1, 1});
-
-  ASSERT_EQ(folded.shape(), composed.shape());
-  for (index_t i = 0; i < folded.numel(); ++i) {
-    EXPECT_NEAR(folded.data()[i], composed.data()[i], 1e-4f) << "at " << i;
-  }
-}
-
-TEST(GraphFold, BatchnormFoldDeconvLayout) {
-  Rng rng(5);
-  const Tensor x = uniform(rng, {1, 3, 8, 8});
-  const Tensor w = uniform(rng, {3, 4, 5, 5});  // (Cin, Cout, K, K)
-  const Tensor gamma = uniform(rng, {4}, 0.5f, 1.5f);
-  const Tensor beta = uniform(rng, {4});
-  const Tensor mean = uniform(rng, {4});
-  const Tensor var = uniform(rng, {4}, 0.5f, 2.0f);
-
-  const Tensor composed = ops::batch_norm_infer(
-      ops::deconv2d(x, w, Tensor(), ops::Deconv2dParams{1, 2}), gamma, beta,
-      mean, var, 1e-5f);
-  const graph::FoldedConv f = graph::fold_batchnorm(
-      w, Tensor(), gamma, beta, mean, var, 1e-5f, /*deconv_layout=*/true);
-  const Tensor folded =
-      ops::deconv2d(x, f.weight, f.bias, ops::Deconv2dParams{1, 2});
-
-  ASSERT_EQ(folded.shape(), composed.shape());
-  for (index_t i = 0; i < folded.numel(); ++i) {
-    EXPECT_NEAR(folded.data()[i], composed.data()[i], 1e-4f) << "at " << i;
-  }
 }
 
 // -------------------------------------------------- planner invariants
@@ -492,13 +444,28 @@ TEST(GraphAlloc, CompiledRunIsAllocationFreeInSteadyState) {
   Rng rng(17);
   Tensor in({1, 1, 16, 16});
   rng.fill_uniform(in, -1.0f, 1.0f);
-  const graph::CompiledGraph cg = graph::compile(net.build_graph(1, 16, 16));
+  const Graph g = net.build_graph(1, 16, 16);
 
   ParallelPin pin(1);
-  const std::uint64_t fresh =
-      fresh_allocs_steady_state(3, 8, [&] { Tensor out = cg.run(in); });
-  EXPECT_EQ(fresh, 0u) << "compiled graph allocated from the system heap "
-                          "in steady state";
+  for (const core::Precision prec :
+       {core::Precision::kF32, core::Precision::kF16,
+        core::Precision::kBf16, core::Precision::kInt8}) {
+    for (const bool fuse : {true, false}) {
+      CompileOptions opt;
+      opt.fuse = fuse;
+      opt.precision = prec;
+      if (prec == core::Precision::kInt8) {
+        opt.calibration = graph::calibrate(g, {in});
+      }
+      const graph::CompiledGraph cg = graph::compile(g, opt);
+      const std::uint64_t fresh =
+          fresh_allocs_steady_state(3, 8, [&] { Tensor out = cg.run(in); });
+      EXPECT_EQ(fresh, 0u)
+          << "compiled graph allocated from the system heap in steady "
+             "state at "
+          << core::precision_name(prec) << (fuse ? " fused" : " unfused");
+    }
+  }
 }
 
 TEST(GraphAlloc, BiaslessConvWithFoldedBnHoistsTheBiasConstant) {
@@ -547,162 +514,22 @@ TEST(GraphFlag, FusionGuardRestoresPreviousState) {
 }
 
 // ------------------------------------------------------------ fuzzer
-
-/// Random DAG generator. Emits conv/bn/relu/leaky/pool/unpool/concat/
-/// add over a pool of live values, deliberately creating multi-consumer
-/// nodes (any value may be picked again) and non-fusible interleavings
-/// (bn after concat, act without bn, conv feeding two consumers).
-struct DagFuzzer {
-  Rng rng;
-  Graph g;
-  struct Val {
-    int id;
-    ValueShape s;
-  };
-  std::vector<Val> vals;
-
-  explicit DagFuzzer(std::uint64_t seed) : rng(seed) {}
-
-  Tensor t(Shape shape, real_t lo = -1.0f, real_t hi = 1.0f) {
-    Tensor out(std::move(shape));
-    rng.fill_uniform(out, lo, hi);
-    return out;
-  }
-
-  const Val& pick() {
-    return vals[size_t(rng.uniform_int(0, int(vals.size()) - 1))];
-  }
-
-  void build(int num_ops) {
-    const index_t h = 8 + 4 * index_t(rng.uniform_int(0, 2));
-    const ValueShape in_shape{1, index_t(rng.uniform_int(1, 4)), h, h};
-    vals.push_back({g.add_input(in_shape), in_shape});
-    for (int i = 0; i < num_ops; ++i) {
-      switch (rng.uniform_int(0, 7)) {
-        case 0: {  // conv, often followed by bn(+act) to exercise fusion
-          const Val v = pick();
-          const index_t k = index_t(1 + 2 * rng.uniform_int(0, 2));
-          const index_t cout = index_t(rng.uniform_int(1, 6));
-          const bool bias = rng.uniform_int(0, 1) == 1;
-          int id = g.add_conv2d(
-              v.id, t({cout, v.s.c, k, k}),
-              bias ? t({cout}) : Tensor(), k / 2);
-          vals.push_back({id, g.node(id).shape});
-          maybe_bn_act(cout);
-          break;
-        }
-        case 1: {  // deconv
-          const Val v = pick();
-          const index_t k = index_t(1 + 2 * rng.uniform_int(0, 2));
-          const index_t cout = index_t(rng.uniform_int(1, 6));
-          int id = g.add_deconv2d(v.id, t({v.s.c, cout, k, k}),
-                                  rng.uniform_int(0, 1) ? t({cout})
-                                                        : Tensor(),
-                                  k / 2);
-          vals.push_back({id, g.node(id).shape});
-          maybe_bn_act(cout);
-          break;
-        }
-        case 2: {  // standalone bn (often after concat: non-fusible)
-          const Val v = pick();
-          int id = g.add_batchnorm(v.id, t({v.s.c}, 0.5f, 1.5f), t({v.s.c}),
-                                   t({v.s.c}), t({v.s.c}, 0.5f, 2.0f),
-                                   1e-5f);
-          vals.push_back({id, g.node(id).shape});
-          break;
-        }
-        case 3: {  // standalone activation (no bn in front)
-          const Val v = pick();
-          int id = rng.uniform_int(0, 1) == 0
-                       ? g.add_relu(v.id)
-                       : g.add_leaky_relu(v.id, 0.01f);
-          vals.push_back({id, g.node(id).shape});
-          break;
-        }
-        case 4: {  // max pool
-          const Val v = pick();
-          if (v.s.h < 4 || v.s.w < 4) break;
-          int id = g.add_max_pool(v.id, rng.uniform_int(0, 1) == 0
-                                            ? ops::Pool2dParams{3, 2, 1}
-                                            : ops::Pool2dParams{2, 2, 0});
-          vals.push_back({id, g.node(id).shape});
-          break;
-        }
-        case 5: {  // unpool
-          const Val v = pick();
-          if (v.s.h > 16 || v.s.w > 16) break;
-          int id = g.add_unpool(v.id, 2);
-          vals.push_back({id, g.node(id).shape});
-          break;
-        }
-        case 6: {  // concat of same-spatial values (multi-consumer)
-          const Val a = pick();
-          std::vector<int> ins{a.id};
-          for (const Val& v : vals) {
-            if (int(ins.size()) >= 3) break;
-            if (v.s.h == a.s.h && v.s.w == a.s.w && v.id != a.id) {
-              ins.push_back(v.id);
-            }
-          }
-          int id = g.add_concat(ins);
-          vals.push_back({id, g.node(id).shape});
-          break;
-        }
-        case 7: {  // residual add of same-shape values
-          const Val a = pick();
-          int other = -1;
-          for (const Val& v : vals) {
-            if (v.id != a.id && v.s == a.s) {
-              other = v.id;
-              break;
-            }
-          }
-          if (other < 0) break;
-          int id = g.add_add(a.id, other);
-          vals.push_back({id, g.node(id).shape});
-          break;
-        }
-      }
-    }
-    g.mark_output(vals.back().id);
-  }
-
-  /// After a conv/deconv, usually append bn and often an activation —
-  /// the fusible pattern the pass exists for. Sometimes the conv is
-  /// left exposed or gets a second consumer, which must block fusion.
-  void maybe_bn_act(index_t c) {
-    if (rng.uniform_int(0, 3) == 0) return;  // conv left standalone
-    const Val v = vals.back();
-    int id = g.add_batchnorm(v.id, t({c}, 0.5f, 1.5f), t({c}), t({c}),
-                             t({c}, 0.5f, 2.0f), 1e-5f);
-    vals.push_back({id, g.node(id).shape});
-    if (rng.uniform_int(0, 2) != 0) {
-      const Val b = vals.back();
-      id = rng.uniform_int(0, 1) == 0 ? g.add_relu(b.id)
-                                      : g.add_leaky_relu(b.id, 0.01f);
-      vals.push_back({id, g.node(id).shape});
-    }
-  }
-};
+// Random DAGs (tests/graph_fuzzer.h) stress the fusion pass with
+// non-fusible interleavings and multi-consumer nodes.
 
 TEST(GraphFuzz, RandomDagsFuseBitwiseEqualAcrossBackendsAndWidths) {
   const simd::Backend prev = simd::active_backend();
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    DagFuzzer fz(seed * 7919);
-    fz.build(/*num_ops=*/8);
+  for (int seed = 1; seed <= graph_fuzz::kFuzzCases; ++seed) {
+    const graph_fuzz::FuzzCase fc = graph_fuzz::fuzz_case(seed);
+    const Tensor& in = fc.input;
 
-    Rng in_rng(seed);
-    const ValueShape is = fz.g.input_shape();
-    Tensor in({is.n, is.c, is.h, is.w});
-    in_rng.fill_uniform(in, -1.0f, 1.0f);
-
-    const graph::CompiledGraph fused = graph::compile(fz.g);
+    const graph::CompiledGraph fused = graph::compile(fc.g);
     const graph::CompiledGraph unfused =
-        graph::compile(fz.g, unfused_options());
+        graph::compile(fc.g, unfused_options());
     expect_no_live_overlap_shares_slab(fused);
     expect_no_live_overlap_shares_slab(unfused);
 
-    const std::uint64_t want = fnv1a64(graph::run_reference(fz.g, in));
+    const std::uint64_t want = fnv1a64(graph::run_reference(fc.g, in));
     for (simd::Backend b : {simd::Backend::kScalar, simd::Backend::kSse2,
                             simd::Backend::kAvx2}) {
       if (!simd::backend_available(b)) continue;

@@ -14,9 +14,7 @@
 //      the int8 vpmaddwd kernels — seeded fuzz across shapes that
 //      exercise every vector-width tail, all backends vs scalar,
 //      compared bitwise.
-//   4. The GEMM entry points: sgemm_half == sgemm on pre-widened
-//      operands (bitwise), qgemm_i8 == the exact int32 reference.
-//   5. graph::calibrate determinism across task-engine widths 1/2/8 —
+//   4. graph::calibrate determinism across task-engine widths 1/2/8 —
 //      the int8 scales must be a pure function of (graph, batch).
 #include <gtest/gtest.h>
 
@@ -34,7 +32,6 @@
 #include "graph/graph.h"
 #include "nn/ddnet.h"
 #include "nn/layers.h"
-#include "ops/gemm.h"
 
 using namespace ccovid;
 
@@ -586,78 +583,7 @@ TEST(LowpConvKernels, HalfEpilogueStoresMatchScalar) {
 }
 
 // ------------------------------------------------------------------
-// 4. GEMM entry points.
-
-TEST(LowpGemm, SgemmHalfMatchesSgemmOnWidenedOperands) {
-  const simd::KernelTable& kt = simd::kernels();
-  Rng rng(808);
-  // Shapes chosen to hit the 4x8 micro kernel, the edge kernels, and
-  // the packing tails.
-  const index_t shapes[][3] = {{4, 8, 8}, {7, 9, 11}, {16, 32, 24},
-                               {13, 5, 17}};
-  for (const auto& s : shapes) {
-    const index_t m = s[0], k = s[1], n = s[2];
-    SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
-                 std::to_string(n));
-    Tensor a({m, k}), b({k, n});
-    rng.fill_gaussian(a, 0.0, 1.0);
-    rng.fill_gaussian(b, 0.0, 1.0);
-    for (const bool bf : {false, true}) {
-      SCOPED_TRACE(bf ? "bf16" : "f16");
-      std::vector<std::uint16_t> ah(m * k), bh(k * n);
-      std::vector<float> aw(m * k), bw(k * n);
-      if (bf) {
-        kt.cvt_f32_to_bf16(a.data(), ah.data(), m * k);
-        kt.cvt_bf16_to_f32(ah.data(), aw.data(), m * k);
-        kt.cvt_f32_to_bf16(b.data(), bh.data(), k * n);
-        kt.cvt_bf16_to_f32(bh.data(), bw.data(), k * n);
-      } else {
-        kt.cvt_f32_to_f16(a.data(), ah.data(), m * k);
-        kt.cvt_f16_to_f32(ah.data(), aw.data(), m * k);
-        kt.cvt_f32_to_f16(b.data(), bh.data(), k * n);
-        kt.cvt_f16_to_f32(bh.data(), bw.data(), k * n);
-      }
-      std::vector<float> want(m * n), got(m * n);
-      ops::sgemm(aw.data(), bw.data(), want.data(), m, k, n);
-      ops::sgemm_half(ah.data(), bh.data(), got.data(), m, k, n, bf);
-      EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * 4), 0)
-          << "sgemm_half diverges from sgemm on pre-widened operands";
-    }
-  }
-}
-
-TEST(LowpGemm, QgemmI8MatchesExactInt32Reference) {
-  std::uint64_t state = 0xABCDEF987654321ull;
-  const auto next = [&state]() {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return static_cast<std::uint32_t>(state >> 33);
-  };
-  const index_t m = 9, k = 31, n = 13;
-  std::vector<std::int8_t> a(m * k), b(k * n);
-  for (auto& v : a) v = static_cast<std::int8_t>(int(next() % 255u) - 127);
-  for (auto& v : b) v = static_cast<std::int8_t>(int(next() % 255u) - 127);
-  const float a_scale = 0.031f;
-  std::vector<float> b_scale(n);
-  for (index_t j = 0; j < n; ++j) b_scale[j] = 0.007f + 0.001f * j;
-
-  std::vector<float> got(m * n);
-  ops::qgemm_i8(a.data(), b.data(), got.data(), m, k, n, a_scale,
-                b_scale.data());
-  for (index_t i = 0; i < m; ++i) {
-    for (index_t j = 0; j < n; ++j) {
-      std::int32_t acc = 0;
-      for (index_t p = 0; p < k; ++p) {
-        acc += std::int32_t(a[i * k + p]) * std::int32_t(b[p * n + j]);
-      }
-      const float want = float(acc) * (a_scale * b_scale[j]);
-      EXPECT_EQ(bits_of(got[i * n + j]), bits_of(want))
-          << "(" << i << "," << j << ")";
-    }
-  }
-}
-
-// ------------------------------------------------------------------
-// 5. Calibration determinism.
+// 4. Calibration determinism.
 
 // graph::calibrate must be a pure function of (graph, batch): the
 // int8 scales may not move with the task-engine width, or two serve
