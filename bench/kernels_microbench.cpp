@@ -24,7 +24,7 @@
 #include "ct/fbp.h"
 #include "ct/siddon.h"
 #include "ddnet_timing.h"
-#include "dist/comm.h"
+#include "dist/collective.h"
 #include "graph/graph.h"
 #include "metrics/image_quality.h"
 #include "nn/ddnet.h"
@@ -158,7 +158,9 @@ void BM_RingAllReduce(benchmark::State& state) {
         world, std::vector<real_t>(static_cast<std::size_t>(len), 1.0f));
     std::vector<std::thread> threads;
     for (int r = 0; r < world; ++r) {
-      threads.emplace_back([&w, &bufs, r] { w.all_reduce_sum(r, bufs[r]); });
+      threads.emplace_back([&w, &bufs, r] {
+        dist::all_reduce(w, r, bufs[r], dist::Collective::kRing);
+      });
     }
     for (auto& t : threads) t.join();
     benchmark::DoNotOptimize(bufs[0][0]);

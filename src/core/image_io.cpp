@@ -47,8 +47,17 @@ Tensor read_pgm(const std::string& path) {
   index_t w = 0, h = 0;
   int maxval = 0;
   f >> w >> h >> maxval;
+  if (!f || w <= 0 || h <= 0) {
+    throw std::runtime_error("read_pgm: bad dimensions");
+  }
   if (maxval != 255) throw std::runtime_error("read_pgm: expected 8-bit");
   f.get();  // single whitespace after header
+  // Check the pixel count against the bytes left before allocating.
+  const std::streamoff start = f.tellg();
+  f.seekg(0, std::ios::end);
+  const std::streamoff left = f.tellg() - start;
+  f.seekg(start);
+  if (!f || w > left / h) throw std::runtime_error("read_pgm: truncated file");
   Tensor img({h, w});
   std::vector<unsigned char> buf(static_cast<std::size_t>(w * h));
   f.read(reinterpret_cast<char*>(buf.data()),

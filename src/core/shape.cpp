@@ -6,26 +6,24 @@
 
 namespace ccovid {
 
-Shape::Shape(std::initializer_list<index_t> dims) {
-  if (static_cast<int>(dims.size()) > kMaxRank) {
-    throw std::invalid_argument("Shape: rank exceeds kMaxRank");
-  }
-  rank_ = static_cast<int>(dims.size());
-  int i = 0;
-  for (index_t d : dims) {
-    if (d < 0) throw std::invalid_argument("Shape: negative extent");
-    dims_[i++] = d;
-  }
-}
+Shape::Shape(std::initializer_list<index_t> dims)
+    : Shape(dims.begin(), static_cast<int>(dims.size())) {}
 
 Shape::Shape(const index_t* dims, int rank) {
   if (rank < 0 || rank > kMaxRank) {
     throw std::invalid_argument("Shape: bad rank");
   }
   rank_ = rank;
+  // The product of the non-zero extents bounds numel() and every
+  // stride(), so checking it once keeps all of them from wrapping.
+  index_t product = 1;
   for (int i = 0; i < rank; ++i) {
-    if (dims[i] < 0) throw std::invalid_argument("Shape: negative extent");
-    dims_[i] = dims[i];
+    const index_t d = dims[i];
+    if (d < 0) throw std::invalid_argument("Shape: negative extent");
+    if (d > 0 && __builtin_mul_overflow(product, d, &product)) {
+      throw std::invalid_argument("Shape: element count overflows index_t");
+    }
+    dims_[i] = d;
   }
 }
 

@@ -15,6 +15,9 @@ class Shape {
  public:
   static constexpr int kMaxRank = 5;
 
+  /// Both constructors throw std::invalid_argument on a rank above
+  /// kMaxRank, a negative extent, or an element count that overflows
+  /// index_t.
   Shape() = default;
   Shape(std::initializer_list<index_t> dims);
   Shape(const index_t* dims, int rank);

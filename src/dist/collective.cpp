@@ -1,7 +1,6 @@
 #include "dist/collective.h"
 
 #include <stdexcept>
-#include <utility>
 
 #include "core/env.h"
 
@@ -10,11 +9,6 @@ namespace ccovid::dist {
 namespace {
 
 bool is_pow2(int n) { return n > 0 && (n & (n - 1)) == 0; }
-
-void send_counted(World& w, int rank, int to, Message msg) {
-  w.note_sent(rank, msg.size() * sizeof(real_t));
-  w.send(rank, to, std::move(msg));
-}
 
 /// Canonical fold of `n` concatenated raw contributions (rank order,
 /// `len` elements each) into `data`. This is THE fold — every algorithm
@@ -43,8 +37,7 @@ void ring_all_reduce(World& w, int rank, std::vector<real_t>& data) {
     const int recv_origin = ((rank - s - 1) % n + n) % n;
     const auto base =
         blocks.begin() + static_cast<std::ptrdiff_t>(len) * send_origin;
-    send_counted(w, rank, next,
-                 Message(base, base + static_cast<std::ptrdiff_t>(len)));
+    w.send(rank, next, Message(base, base + static_cast<std::ptrdiff_t>(len)));
     Message in = w.recv(rank, prev);
     if (in.size() != len) {
       throw std::runtime_error("collective ring: length mismatch");
@@ -71,7 +64,7 @@ void tree_all_reduce(World& w, int rank, std::vector<real_t>& data) {
   for (int k = 0; k < k_max && !sent; ++k) {
     const int bit = 1 << k;
     if ((rank & bit) != 0) {
-      send_counted(w, rank, rank - bit, Message(block.begin(), block.end()));
+      w.send(rank, rank - bit, Message(block.begin(), block.end()));
       sent = true;
     } else if (rank + bit < n) {
       Message in = w.recv(rank, rank + bit);
@@ -91,7 +84,7 @@ void tree_all_reduce(World& w, int rank, std::vector<real_t>& data) {
     const int pos = rank & (2 * bit - 1);
     if (pos == 0) {
       if (rank + bit < n) {
-        send_counted(w, rank, rank + bit, Message(data.begin(), data.end()));
+        w.send(rank, rank + bit, Message(data.begin(), data.end()));
       }
     } else if (pos == bit) {
       Message in = w.recv(rank, rank - bit);
@@ -115,7 +108,7 @@ void halving_all_reduce(World& w, int rank, std::vector<real_t>& data) {
   for (int k = 0; k < k_max; ++k) {
     const int bit = 1 << k;
     const int partner = rank ^ bit;
-    send_counted(w, rank, partner, Message(block.begin(), block.end()));
+    w.send(rank, partner, Message(block.begin(), block.end()));
     Message in = w.recv(rank, partner);
     if (in.size() != block.size()) {
       throw std::runtime_error("collective bcast-halving: length mismatch");

@@ -15,10 +15,10 @@
 // width — which is what lets tests/test_golden.cpp pin ONE digest for
 // the whole collective x bucket-size x width sweep.
 //
-// World::all_reduce_sum (the classic Baidu ring: reduce-scatter +
-// all-gather) stays untouched: its per-chunk fold order is a rotation
-// of rank order, so it is deterministic per chunk layout but NOT
-// bucket-size-invariant. The trainer uses the collectives below.
+// This is the only allreduce in the tree. A classic Baidu ring
+// (reduce-scatter + all-gather) would fold each chunk in a rotation of
+// rank order, so its bits would depend on chunk layout and therefore on
+// bucket size; these algorithms trade that bandwidth for the contract.
 //
 // Selection: an explicit --collective choice wins; kAuto defers to the
 // CCOVID_COLLECTIVE environment variable ("ring" | "tree" |
@@ -58,8 +58,7 @@ Collective resolve_collective(Collective requested,
 /// every rank calls with its contribution in `data`; on return `data`
 /// holds the canonical rank-order fold on every rank. `alg` must be
 /// concrete (resolve kAuto first); kBcastHalving on a non-power-of-two
-/// world runs the ring. Collective byte traffic is tracked per rank
-/// like the World collectives.
+/// world runs the ring.
 void all_reduce(World& world, int rank, std::vector<real_t>& data,
                 Collective alg);
 

@@ -1,151 +1,59 @@
 #include "dist/comm.h"
 
+#include <algorithm>
+#include <cstring>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
-
-#include "core/digest.h"
-#include "fault/failpoint.h"
 
 namespace ccovid::dist {
 
-namespace {
-
-std::uint64_t payload_digest(const Message& m) {
-  return fnv1a64(m.data(), m.size() * sizeof(real_t));
+World::World(int world_size) : size_(world_size) {
+  if (world_size < 1) throw std::invalid_argument("World: size must be >= 1");
+  links_.resize(static_cast<std::size_t>(size_) * size_);
+  for (int r = 0; r < size_; ++r) {
+    for (int p = r + 1; p < size_; ++p) {
+      auto [a, b] = net::InprocTransport::make_pair(r, p);
+      links_[static_cast<std::size_t>(r) * size_ + p] = std::move(a);
+      links_[static_cast<std::size_t>(p) * size_ + r] = std::move(b);
+    }
+  }
 }
 
-}  // namespace
-
-World::World(int world_size) : size_(world_size), bytes_(world_size) {
-  if (world_size < 1) throw std::invalid_argument("World: size must be >= 1");
-  channels_.resize(static_cast<std::size_t>(size_) * size_);
-  for (auto& c : channels_) c = std::make_unique<Channel>();
-  for (auto& b : bytes_) b.store(0);
+net::Transport& World::link(int rank, int peer, const char* op) {
+  if (rank < 0 || rank >= size_ || peer < 0 || peer >= size_ ||
+      rank == peer) {
+    throw std::invalid_argument(std::string("World::") + op + ": bad rank");
+  }
+  return *links_[static_cast<std::size_t>(rank) * size_ + peer];
 }
 
 void World::send(int from, int to, Message msg) {
-  if (from < 0 || from >= size_ || to < 0 || to >= size_) {
-    throw std::invalid_argument("World::send: bad rank");
-  }
-  Channel& ch = channel(from, to);
-  if (!guard_.enabled && !fault::Registry::any_armed()) {
-    ch.send(std::move(msg));  // bare fast path
-    return;
-  }
-
-  Packet p;
-  p.payload = std::move(msg);
-  p.seq = ch.allocate_seq();
-  // Checksum BEFORE fault injection: a corruption models an on-the-wire
-  // bit flip after the NIC computed the frame check, so the receiver's
-  // recomputation must disagree.
-  if (guard_.enabled) p.checksum = payload_digest(p.payload);
-
-  // Transport faults, evaluated on the sender thread (ordinal = sender
-  // rank for thread(I) filters). Use a thread(from) filter to fault one
-  // rank's uplink only.
-  if (auto f = CCOVID_FAILPOINT_FIRED("dist.msg.corrupt")) {
-    fault::corrupt_bytes(p.payload.data(),
-                         p.payload.size() * sizeof(real_t), f.seed,
-                         f.count);
-  }
-  if (CCOVID_FAILPOINT_FIRED("dist.msg.drop")) {
-    return;  // seq consumed but never delivered: the receiver sees a gap
-  }
-  if (CCOVID_FAILPOINT_FIRED("dist.msg.reorder")) {
-    ch.hold_packet(std::move(p));  // delivered after the NEXT send
-    return;
-  }
-  if (CCOVID_FAILPOINT_FIRED("dist.msg.dup")) {
-    ch.send_packet(p);  // same seq delivered twice, like a network dup
-  }
-  ch.send_packet(std::move(p));
+  const auto* p = reinterpret_cast<const std::uint8_t*>(msg.data());
+  link(from, to, "send")
+      .send(net::FrameType::kData,
+            std::vector<std::uint8_t>(p, p + msg.size() * sizeof(real_t)));
 }
 
 Message World::recv(int at, int from) {
-  if (at < 0 || at >= size_ || from < 0 || from >= size_) {
-    throw std::invalid_argument("World::recv: bad rank");
-  }
-  Channel& ch = channel(from, at);
-  if (!guard_.enabled) return ch.recv();
-
-  auto p = ch.recv_packet_for(guard_.recv_timeout_s);
-  if (!p) {
-    throw CommError(CommError::Kind::kTimeout, at, from,
-                    "no message within " +
-                        std::to_string(guard_.recv_timeout_s) +
-                        "s (sender dead, stalled, or message dropped)");
-  }
-  switch (ch.check_recv_seq(p->seq)) {
-    case Channel::SeqCheck::kOk:
-      break;
-    case Channel::SeqCheck::kDuplicate:
-      throw CommError(CommError::Kind::kDuplicate, at, from,
-                      "seq " + std::to_string(p->seq) + " seen again");
-    case Channel::SeqCheck::kOutOfOrder:
-      throw CommError(CommError::Kind::kOutOfOrder, at, from,
-                      "seq " + std::to_string(p->seq) +
-                          " arrived ahead of an undelivered predecessor "
-                          "(reordered or dropped message)");
-  }
-  if (p->checksum != payload_digest(p->payload)) {
-    throw CommError(CommError::Kind::kCorrupt, at, from,
-                    "payload checksum mismatch on seq " +
-                        std::to_string(p->seq));
-  }
-  return std::move(p->payload);
-}
-
-void World::barrier() {
-  std::unique_lock<std::mutex> lock(barrier_mu_);
-  const int gen = barrier_generation_;
-  if (++barrier_count_ == size_) {
-    barrier_count_ = 0;
-    ++barrier_generation_;
-    barrier_cv_.notify_all();
+  net::Transport& t = link(at, from, "recv");
+  std::optional<net::Frame> f;
+  if (guard_.enabled) {
+    f = t.recv(guard_.recv_timeout_s);
   } else {
-    barrier_cv_.wait(lock, [this, gen] { return gen != barrier_generation_; });
+    // Unbounded wait, in slices: World never closes its links.
+    while (!(f = t.recv_for(3600.0))) {
+    }
   }
-}
-
-void World::all_reduce_sum(int rank, std::vector<real_t>& data) {
-  const int n = size_;
-  if (n == 1) return;
-  const index_t len = static_cast<index_t>(data.size());
-  // Chunk boundaries: chunk c covers [off[c], off[c+1]).
-  std::vector<index_t> off(static_cast<std::size_t>(n) + 1);
-  for (int c = 0; c <= n; ++c) {
-    off[c] = len * c / n;
+  if (f->payload.size() % sizeof(real_t) != 0) {
+    throw CommError(CommError::Kind::kCorrupt, at, from,
+                    std::to_string(f->payload.size()) +
+                        "-byte payload is not a whole number of floats");
   }
-  const int next = (rank + 1) % n;
-  const int prev = (rank + n - 1) % n;
-  const auto chunk_of = [&](int c) {
-    return ((c % n) + n) % n;
-  };
-
-  // Phase 1 — reduce-scatter: after n-1 steps rank r holds the full sum
-  // of chunk (r+1) mod n.
-  for (int s = 0; s < n - 1; ++s) {
-    const int send_c = chunk_of(rank - s);
-    const int recv_c = chunk_of(rank - s - 1);
-    Message out(data.begin() + off[send_c], data.begin() + off[send_c + 1]);
-    bytes_[rank].fetch_add(out.size() * sizeof(real_t));
-    send(rank, next, std::move(out));
-    Message in = recv(rank, prev);
-    real_t* dst = data.data() + off[recv_c];
-    for (std::size_t i = 0; i < in.size(); ++i) dst[i] += in[i];
-  }
-  // Phase 2 — all-gather: circulate the reduced chunks.
-  for (int s = 0; s < n - 1; ++s) {
-    const int send_c = chunk_of(rank + 1 - s);
-    const int recv_c = chunk_of(rank - s);
-    Message out(data.begin() + off[send_c], data.begin() + off[send_c + 1]);
-    bytes_[rank].fetch_add(out.size() * sizeof(real_t));
-    send(rank, next, std::move(out));
-    Message in = recv(rank, prev);
-    real_t* dst = data.data() + off[recv_c];
-    for (std::size_t i = 0; i < in.size(); ++i) dst[i] = in[i];
-  }
+  Message m(f->payload.size() / sizeof(real_t));
+  if (!m.empty()) std::memcpy(m.data(), f->payload.data(), f->payload.size());
+  return m;
 }
 
 void World::broadcast(int rank, int root, std::vector<real_t>& data) {
@@ -155,10 +63,7 @@ void World::broadcast(int rank, int root, std::vector<real_t>& data) {
   }
   if (rank == root) {
     for (int r = 0; r < size_; ++r) {
-      if (r == root) continue;
-      Message out(data.begin(), data.end());
-      bytes_[rank].fetch_add(out.size() * sizeof(real_t));
-      send(rank, r, std::move(out));
+      if (r != root) send(rank, r, Message(data.begin(), data.end()));
     }
   } else {
     Message in = recv(rank, root);
@@ -167,55 +72,6 @@ void World::broadcast(int rank, int root, std::vector<real_t>& data) {
     }
     std::copy(in.begin(), in.end(), data.begin());
   }
-}
-
-void World::reduce_sum(int rank, int root, std::vector<real_t>& data) {
-  if (size_ == 1) return;
-  if (root < 0 || root >= size_) {
-    throw std::invalid_argument("World::reduce_sum: bad root");
-  }
-  if (rank == root) {
-    for (int r = 0; r < size_; ++r) {
-      if (r == root) continue;
-      Message in = recv(rank, r);
-      if (in.size() != data.size()) {
-        throw std::runtime_error("World::reduce_sum: length mismatch");
-      }
-      for (std::size_t i = 0; i < in.size(); ++i) data[i] += in[i];
-    }
-  } else {
-    Message out(data.begin(), data.end());
-    bytes_[rank].fetch_add(out.size() * sizeof(real_t));
-    send(rank, root, std::move(out));
-  }
-}
-
-void World::all_gather(int rank, const std::vector<real_t>& data,
-                       std::vector<real_t>& out) {
-  const std::size_t len = data.size();
-  out.resize(len * static_cast<std::size_t>(size_));
-  std::copy(data.begin(), data.end(),
-            out.begin() + static_cast<std::ptrdiff_t>(len) * rank);
-  if (size_ == 1) return;
-  // Ring circulation: after size-1 steps every rank has every chunk.
-  const int next = (rank + 1) % size_;
-  const int prev = (rank + size_ - 1) % size_;
-  int have = rank;  // chunk most recently received / owned
-  for (int s = 0; s < size_ - 1; ++s) {
-    Message out_msg(out.begin() + static_cast<std::ptrdiff_t>(len) * have,
-                    out.begin() + static_cast<std::ptrdiff_t>(len) *
-                                      (have + 1));
-    bytes_[rank].fetch_add(out_msg.size() * sizeof(real_t));
-    send(rank, next, std::move(out_msg));
-    Message in = recv(rank, prev);
-    have = ((prev - s) % size_ + size_) % size_;
-    std::copy(in.begin(), in.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(len) * have);
-  }
-}
-
-std::uint64_t World::bytes_sent(int rank) const {
-  return bytes_[rank].load();
 }
 
 }  // namespace ccovid::dist

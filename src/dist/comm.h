@@ -1,30 +1,27 @@
-// In-process message-passing world: N ranks (threads) exchanging typed
-// float payloads over point-to-point channels, with barrier and ring
-// all-reduce collectives. This is the gloo/MPI stand-in used by the
+// In-process message-passing world: N ranks (threads) exchanging float
+// payloads point to point. This is the gloo/MPI stand-in used by the
 // distributed data-parallel trainer (§4.1): the semantics (cooperative
-// two-sided messaging, synchronous collectives) match, only the
-// transport is shared memory.
+// two-sided messaging) match, only the transport is shared memory.
+//
+// A World is a full mesh of net::InprocTransport pairs, one endpoint per
+// ordered (rank, peer). Every message travels as one FrameType::kData
+// frame through the same codec and guard as sharded serving
+// (net/transport.h): sequence numbers and checksums are always
+// verified, and the net.frame.{corrupt,drop,dup} failpoints fault DDP
+// traffic on the sender's rank thread. The deterministic allreduce
+// family built on send/recv lives in dist/collective.h.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
-#include "dist/channel.h"
+#include "core/types.h"
 #include "net/error.h"
+#include "net/transport.h"
 
 namespace ccovid::dist {
 
-/// The guard knobs and error taxonomy are transport-independent (PR 6):
-/// they moved to net/error.h so the socket frame protocol surfaces the
-/// same typed kTimeout / kDuplicate / kOutOfOrder / kCorrupt faults as
-/// this in-process World. GuardOptions::recv_timeout_s now defaults
-/// from the CCOVID_RECV_TIMEOUT environment variable (else 2 s) and is
-/// settable per tool via --recv-timeout.
+using Message = std::vector<real_t>;
 using GuardOptions = net::GuardOptions;
 using CommError = net::CommError;
 
@@ -34,65 +31,34 @@ class World {
 
   int size() const { return size_; }
 
-  /// Point-to-point: FIFO per (from, to) pair.
+  /// Point-to-point: FIFO per (from, to) pair; from != to.
   void send(int from, int to, Message msg);
+
+  /// Next message from `from` at rank `at`. Guard violations throw
+  /// CommError (kDuplicate / kOutOfOrder / kCorrupt; a payload that is
+  /// not a whole number of floats is kCorrupt). With guard().enabled a
+  /// recv that waits longer than recv_timeout_s throws kTimeout;
+  /// otherwise it blocks until a frame arrives.
   Message recv(int at, int from);
-
-  /// Blocks until all ranks arrive (reusable).
-  void barrier();
-
-  /// Ring all-reduce (reduce-scatter + all-gather, Baidu-style): every
-  /// rank calls this with its local buffer; on return every buffer holds
-  /// the elementwise sum across ranks. Buffers must be the same length.
-  /// Tracks the total bytes a real interconnect would have moved per
-  /// rank (for the communication model).
-  void all_reduce_sum(int rank, std::vector<real_t>& data);
 
   /// Broadcast from `root`: every rank calls with a same-length buffer;
   /// on return all buffers equal the root's. Linear fan-out over the
-  /// point-to-point channels (how DDP ships initial weights).
+  /// point-to-point links (how DDP ships initial weights).
   void broadcast(int rank, int root, std::vector<real_t>& data);
 
-  /// Reduce-to-root: root's buffer receives the elementwise sum; other
-  /// ranks' buffers are unchanged.
-  void reduce_sum(int rank, int root, std::vector<real_t>& data);
-
-  /// All-gather: rank r contributes `data`; on return `out` holds the
-  /// world-ordered concatenation on every rank.
-  void all_gather(int rank, const std::vector<real_t>& data,
-                  std::vector<real_t>& out);
-
-  /// Bytes sent per rank over all collectives so far.
-  std::uint64_t bytes_sent(int rank) const;
-
-  /// Byte-accounting hook for collectives layered on the point-to-point
-  /// API (dist/collective.cpp): counts `bytes` against `rank`'s sent
-  /// total, exactly as the built-in collectives do internally.
-  void note_sent(int rank, std::uint64_t bytes) {
-    bytes_[static_cast<std::size_t>(rank)].fetch_add(bytes);
-  }
-
-  /// Enables/disables guarded transport for subsequent send/recv calls.
-  /// Set before the ranks start communicating — not thread-safe against
-  /// in-flight traffic.
+  /// Sets the receive-wait policy. Set before the ranks start
+  /// communicating — not thread-safe against in-flight traffic.
   void set_guard(GuardOptions g) { guard_ = g; }
   const GuardOptions& guard() const { return guard_; }
 
  private:
-  Channel& channel(int from, int to) {
-    return *channels_[static_cast<std::size_t>(from) * size_ + to];
-  }
+  net::Transport& link(int rank, int peer, const char* op);
 
   GuardOptions guard_;
   int size_;
-  // channels_[from * size + to]
-  std::vector<std::unique_ptr<Channel>> channels_;
-  std::vector<std::atomic<std::uint64_t>> bytes_;
-
-  std::mutex barrier_mu_;
-  std::condition_variable barrier_cv_;
-  int barrier_count_ = 0;
-  int barrier_generation_ = 0;
+  // links_[rank * size + peer]: rank's endpoint towards peer (none on
+  // the diagonal).
+  std::vector<std::unique_ptr<net::InprocTransport>> links_;
 };
 
 }  // namespace ccovid::dist

@@ -51,9 +51,11 @@ struct DdpConfig {
   double lr = 1e-4;           ///< Enhancement AI default (§3.1.1)
   double lr_decay = 0.8;      ///< exponential per-epoch decay (§3.1.1)
   InterconnectModel net;
-  /// Transport verification (see dist/comm.h): enabled, transport
-  /// faults surface as CommError from train_epoch instead of hanging
-  /// the collective or silently desynchronizing replicas.
+  /// Receive-wait policy (see net/error.h). Frames are always
+  /// verified, so corrupt, duplicated or out-of-order traffic raises
+  /// CommError from train_epoch; enabled, a receive that waits longer
+  /// than recv_timeout_s raises kTimeout instead of hanging the
+  /// collective (a dropped message or a dead rank).
   GuardOptions guard;
   /// Scan the averaged gradient after each all-reduce and throw a typed
   /// StageError("dist.grad.allreduce") on NaN/Inf — a poisoned gradient

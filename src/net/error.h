@@ -1,13 +1,11 @@
 // Transport-independent communication error taxonomy + guard knobs.
 //
-// Extracted from dist/comm.h so that every transport backend — the
-// in-process shared-memory Channel (net/channel.h) and the socket frame
-// protocol (net/socket.h) — surfaces faults through ONE typed error
-// vocabulary: a guarded receiver sees kTimeout / kDuplicate /
-// kOutOfOrder / kCorrupt regardless of whether the bytes crossed a
-// mutex or a kernel socket buffer. dist/comm.h aliases these types, so
-// existing CommError call sites (DDP chaos suites included) are
-// unchanged.
+// Every Transport backend (net/transport.h) — the in-process byte
+// Channel pair and the socket frame protocol (net/socket.h) — surfaces
+// faults through ONE typed error vocabulary: a receiver sees kTimeout /
+// kDuplicate / kOutOfOrder / kCorrupt regardless of whether the bytes
+// crossed a mutex or a kernel socket buffer. dist::World rides the same
+// path, so DDP chaos suites and sharded serving share these types.
 #pragma once
 
 #include <cstdlib>
@@ -16,12 +14,12 @@
 
 namespace ccovid::net {
 
-/// Transport verification knobs. Disabled (the default), send/recv are
-/// the bare fast path. Enabled, every send stamps a payload checksum
-/// and every recv verifies checksum + sequence order under a timeout,
-/// converting silent transport faults (dropped / duplicated / reordered
-/// / bit-flipped messages) into typed CommError throws instead of hangs
-/// or silent divergence.
+/// Receive-wait knobs. Frames are always verified (sequence order and
+/// checksums, net/transport.cpp); `enabled` bounds the wait. Enabled, a
+/// receive that sees no frame within recv_timeout_s throws
+/// CommError(kTimeout), so a dropped message or a dead peer unblocks
+/// the collective instead of hanging it. Disabled (the default), a
+/// receive blocks until a frame arrives.
 struct GuardOptions {
   bool enabled = false;
   /// recv gives up after this long (a dropped message upstream shows up

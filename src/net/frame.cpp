@@ -70,11 +70,8 @@ std::optional<Frame> FrameDecoder::next() {
   if (!corrupt_.empty()) {
     throw CommError(CommError::Kind::kCorrupt, -1, -1, corrupt_);
   }
-  if (buf_.size() < kFrameHeaderSize) return std::nullopt;
-
-  // The deque is not contiguous; stage the fixed-size header.
-  std::uint8_t h[kFrameHeaderSize];
-  for (std::size_t i = 0; i < kFrameHeaderSize; ++i) h[i] = buf_[i];
+  if (buffered() < kFrameHeaderSize) return std::nullopt;
+  const std::uint8_t* h = buf_.data() + head_;
 
   auto fail = [this](const std::string& why) -> std::optional<Frame> {
     corrupt_ = why;
@@ -98,20 +95,16 @@ std::optional<Frame> FrameDecoder::next() {
                 " bytes exceeds the " + std::to_string(max_payload_) +
                 "-byte bound");
   }
-  if (buf_.size() < kFrameHeaderSize + len) return std::nullopt;  // truncated
+  if (buffered() < kFrameHeaderSize + len) return std::nullopt;  // truncated
 
   Frame f;
   f.type = static_cast<FrameType>(h[4]);
   f.seq = get_u64(h + 8);
-  f.payload.resize(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    f.payload[i] = buf_[kFrameHeaderSize + i];
-  }
+  f.payload.assign(h + kFrameHeaderSize, h + kFrameHeaderSize + len);
   if (fnv1a64(f.payload.data(), f.payload.size()) != get_u64(h + 16)) {
     return fail("payload checksum mismatch on seq " + std::to_string(f.seq));
   }
-  buf_.erase(buf_.begin(),
-             buf_.begin() + static_cast<std::ptrdiff_t>(kFrameHeaderSize + len));
+  head_ += kFrameHeaderSize + len;
   return f;
 }
 

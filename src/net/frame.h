@@ -29,7 +29,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -45,7 +44,7 @@ enum class FrameType : std::uint8_t {
   kHeartbeat = 5,     ///< front door -> worker: liveness probe
   kHeartbeatAck = 6,  ///< worker -> front door: probe echo
   kShutdown = 7,      ///< front door -> worker: drain and exit
-  kData = 8,          ///< opaque payload (tests, future collectives)
+  kData = 8,          ///< opaque payload (dist::World messages, tests)
 };
 
 const char* to_string(FrameType t);
@@ -81,6 +80,8 @@ class FrameDecoder {
       : max_payload_(max_payload) {}
 
   void feed(const std::uint8_t* data, std::size_t n) {
+    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
     buf_.insert(buf_.end(), data, data + n);
   }
 
@@ -91,19 +92,20 @@ class FrameDecoder {
   std::optional<Frame> next();
 
   /// Bytes buffered but not yet consumed by a complete frame.
-  std::size_t buffered() const { return buf_.size(); }
+  std::size_t buffered() const { return buf_.size() - head_; }
 
-  /// Drops all buffered bytes and clears the poisoned state. Used by
-  /// packet-aligned transports (one frame per packet) where residual
-  /// padding must not bleed into the next packet's parse.
+  /// Drops all buffered bytes and clears the poisoned state, so the
+  /// decoder can start over on a fresh byte stream.
   void reset() {
     buf_.clear();
+    head_ = 0;
     corrupt_.clear();
   }
 
  private:
   std::size_t max_payload_;
-  std::deque<std::uint8_t> buf_;
+  std::vector<std::uint8_t> buf_;
+  std::size_t head_ = 0;  ///< bytes of buf_ consumed by returned frames
   std::string corrupt_;  ///< non-empty once framing is lost
 };
 

@@ -1,6 +1,5 @@
 #include "net/transport.h"
 
-#include <cstring>
 #include <string>
 
 #include "fault/failpoint.h"
@@ -100,25 +99,14 @@ InprocTransport::make_pair(int id_a, int id_b) {
 }
 
 void InprocTransport::send_bytes(const std::uint8_t* data, std::size_t n) {
-  // One frame per packet, byte-packed into the real_t payload (the
-  // trailing pad never reaches the decoder: fill_decoder resets per
-  // packet, and the frame header's length field delimits the payload).
-  Message m((n + sizeof(real_t) - 1) / sizeof(real_t));
-  std::memcpy(m.data(), data, n);
-  tx_->send(std::move(m));
+  tx_->send(Bytes(data, data + n));
 }
 
 bool InprocTransport::fill_decoder(double timeout_s) {
-  std::optional<Packet> p = rx_->recv_packet_for(timeout_s);
-  if (!p) return false;  // timeout, or closed-and-drained (open() tells)
-  // Packet-aligned stream: drop any residual pad bytes from the
-  // previous packet before feeding the next frame.
-  decoder_.reset();
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(
-      p->payload.data());
-  const std::size_t n = p->payload.size() * sizeof(real_t);
-  decoder_.feed(bytes, n);
-  count_received(n);
+  std::optional<Bytes> m = rx_->recv_for(timeout_s);
+  if (!m) return false;  // timeout, or closed-and-drained (open() tells)
+  decoder_.feed(m->data(), m->size());
+  count_received(m->size());
   return true;
 }
 

@@ -1,25 +1,25 @@
 // Transport — the duplex, frame-oriented connection abstraction under
-// the sharded serving runtime (serve/shard.h). Two backends implement
-// it:
+// the sharded serving runtime (serve/shard.h) and the in-process DDP
+// world (dist/comm.h). Two backends implement it:
 //
-//   InprocTransport   the existing shared-memory Channel (net/channel.h)
-//                     carrying encoded frames between threads — zero
-//                     syscalls, used by tests and single-process mode
+//   InprocTransport   encoded frames through a pair of shared-memory
+//                     byte Channels (net/channel.h) between threads —
+//                     zero syscalls; dist::World is a mesh of these
 //   SocketTransport   length-prefixed checksummed frames over
 //                     Unix-domain or TCP stream sockets (net/socket.h)
 //                     — the real multi-process deployment path
 //
-// The guard semantics live HERE, in the backend-agnostic base class:
-// send() assigns a per-direction monotonic sequence number and encodes
-// through the checksummed frame codec; recv_for() verifies framing
-// (CommError kCorrupt), sequence order (kDuplicate / kOutOfOrder, with
-// poison-free recovery past a detected gap), and bounded waiting
-// (kTimeout via recv()). The net.frame.* / net.conn.* failpoints are
-// also evaluated here, on the SENDER side of either backend — which is
-// what makes fault schedules fire across process boundaries: a worker
-// process armed with net.frame.corrupt damages real bytes on a real
-// socket, and the front door's receiver sees the same typed kCorrupt
-// the in-process chaos suites see.
+// The guard semantics live HERE, and only here, in the backend-agnostic
+// base class: send() assigns a per-direction monotonic sequence number
+// and encodes through the checksummed frame codec; recv_for() verifies
+// framing (CommError kCorrupt), sequence order (kDuplicate /
+// kOutOfOrder, with poison-free recovery past a detected gap), and
+// bounded waiting (kTimeout via recv()). The net.frame.* / net.conn.*
+// failpoints are also evaluated here, on the SENDER side of either
+// backend — which is what makes fault schedules fire across process
+// boundaries: a worker process armed with net.frame.corrupt damages
+// real bytes on a real socket, and the front door's receiver sees the
+// same typed kCorrupt the in-process suites (DDP included) see.
 //
 // Failpoints (sender side, evaluated per frame):
 //   net.frame.corrupt   flip bits in the encoded frame after checksums
@@ -116,10 +116,9 @@ class Transport {
   std::atomic<std::uint64_t> bytes_received_{0};
 };
 
-/// In-process backend: frames ride as Packets through a pair of
-/// shared-memory Channels (one per direction), going through the SAME
-/// codec and guard path as the socket backend — one frame per packet,
-/// byte-packed into the Message payload.
+/// In-process backend: encoded frames ride a pair of shared-memory
+/// byte Channels (one per direction), going through the SAME codec and
+/// guard path as the socket backend.
 class InprocTransport final : public Transport {
  public:
   /// Connected endpoint pair (a <-> b) sharing two channels.

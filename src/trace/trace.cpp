@@ -1,6 +1,7 @@
 #include "trace/trace.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
@@ -53,8 +54,9 @@ std::size_t round_up_pow2(std::size_t v) {
 }
 
 // Single-writer ring: only the owning thread stores; any thread may
-// snapshot. head_ counts records ever written (monotonic); slot k holds
-// record seq where seq % capacity == k.
+// snapshot. head_ counts records ever published (monotonic); slot k
+// holds record seq where seq % capacity == k. claim_ runs one ahead of
+// head_ while the writer fills a slot — the seqlock "writing" mark.
 class ThreadRing {
  public:
   explicit ThreadRing(std::uint32_t tid, std::size_t capacity)
@@ -65,13 +67,20 @@ class ThreadRing {
   void emit(const char* name, std::uint64_t t0, std::uint64_t t1,
             std::uint64_t id, std::uint16_t depth, Kind kind) {
     const std::uint64_t seq = head_.load(std::memory_order_relaxed);
+    // Claim before overwriting record seq - capacity. The slot stores
+    // are releases (pairing with collect's acquire loads) rather than
+    // relaxed stores behind a fence, which TSan does not model: a
+    // reader that loads any of them also sees claim_ >= seq + 1. On
+    // x86 both orderings compile to plain moves.
+    claim_.store(seq + 1, std::memory_order_relaxed);
+    constexpr auto rel = std::memory_order_release;
     Slot& s = slots_[seq & mask_];
-    s.name.store(name, std::memory_order_relaxed);
-    s.t0_ns.store(t0, std::memory_order_relaxed);
-    s.t1_ns.store(t1, std::memory_order_relaxed);
-    s.id.store(id, std::memory_order_relaxed);
-    s.depth.store(depth, std::memory_order_relaxed);
-    s.kind.store(static_cast<std::uint8_t>(kind), std::memory_order_relaxed);
+    s.name.store(name, rel);
+    s.t0_ns.store(t0, rel);
+    s.t1_ns.store(t1, rel);
+    s.id.store(id, rel);
+    s.depth.store(depth, rel);
+    s.kind.store(static_cast<std::uint8_t>(kind), rel);
     // Publish: a snapshot that observes head >= seq+1 may read the slot's
     // fields (they happen-before this release store).
     head_.store(seq + 1, std::memory_order_release);
@@ -79,29 +88,34 @@ class ThreadRing {
 
   // Copies the ring without stopping the writer. Any record the writer
   // may have been overwriting while we copied — i.e. whose slot was
-  // reused between the two head reads — is discarded, never torn.
+  // claimed for a newer record before the copy finished — is
+  // discarded, never torn.
   void collect(std::vector<Event>& out, std::uint64_t& dropped) const {
     const std::size_t cap = mask_ + 1;
     const std::uint64_t h1 = head_.load(std::memory_order_acquire);
     const std::uint64_t lo1 = h1 > cap ? h1 - cap : 0;
     std::vector<Event> local;
     local.reserve(static_cast<std::size_t>(h1 - lo1));
+    constexpr auto acq = std::memory_order_acquire;
     for (std::uint64_t seq = lo1; seq < h1; ++seq) {
       const Slot& s = slots_[seq & mask_];
       Event e;
-      e.name = s.name.load(std::memory_order_relaxed);
-      e.t0_ns = s.t0_ns.load(std::memory_order_relaxed);
-      e.t1_ns = s.t1_ns.load(std::memory_order_relaxed);
-      e.id = s.id.load(std::memory_order_relaxed);
-      e.depth = s.depth.load(std::memory_order_relaxed);
-      e.kind = static_cast<Kind>(s.kind.load(std::memory_order_relaxed));
+      e.name = s.name.load(acq);
+      e.t0_ns = s.t0_ns.load(acq);
+      e.t1_ns = s.t1_ns.load(acq);
+      e.id = s.id.load(acq);
+      e.depth = s.depth.load(acq);
+      e.kind = static_cast<Kind>(s.kind.load(acq));
       e.tid = tid_;
       local.push_back(e);
     }
-    // Re-read head: records below lo2 had their slot reclaimed during
-    // the copy and may be torn mixes of old and new fields.
-    const std::uint64_t h2 = head_.load(std::memory_order_acquire);
-    const std::uint64_t lo2 = h2 > cap ? h2 - cap : 0;
+    // Read the claim after the copy: records below lo2 had their slot
+    // claimed during the copy and may be torn mixes of old and new
+    // fields. That includes record c2 - 1 - cap while the writer is
+    // still filling record c2 - 1 (claimed, not yet published). The
+    // acquire loads above keep this load behind them.
+    const std::uint64_t c2 = claim_.load(std::memory_order_relaxed);
+    const std::uint64_t lo2 = c2 > cap ? c2 - cap : 0;
     const std::uint64_t keep_from = std::max(lo1, lo2);
     dropped += keep_from;  // lost to wrap before (lo1) or during (rest) the copy
     for (std::uint64_t seq = lo1; seq < h1; ++seq) {
@@ -118,12 +132,14 @@ class ThreadRing {
     // but every slot field stays individually well-defined (atomics).
     for (Slot& s : slots_) s.name.store(nullptr, std::memory_order_relaxed);
     head_.store(0, std::memory_order_release);
+    claim_.store(0, std::memory_order_relaxed);
   }
 
  private:
   const std::uint32_t tid_;
   const std::size_t mask_;
   std::atomic<std::uint64_t> head_{0};
+  std::atomic<std::uint64_t> claim_{0};
   std::vector<Slot> slots_;
 };
 

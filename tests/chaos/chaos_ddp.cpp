@@ -194,7 +194,7 @@ TEST_F(ChaosDdp, DroppedMessageRaisesCommErrorNotHang) {
   auto cfg = two_rank_config();
   cfg.guard.enabled = true;
   cfg.guard.recv_timeout_s = 0.5;
-  const std::string fp = "dist.msg.drop=thread(0)*nth(2)";
+  const std::string fp = "net.frame.drop=thread(0)*nth(2)";
   const Outcome a = run_ddp_scenario(fp, 3, cfg);
   ASSERT_EQ(a.kind, Outcome::Kind::kCommError);
   EXPECT_TRUE(a.comm_kind == static_cast<int>(CommError::Kind::kTimeout) ||
@@ -212,7 +212,7 @@ TEST_F(ChaosDdp, CorruptedPayloadDetectedByChecksum) {
   auto cfg = two_rank_config();
   cfg.guard.enabled = true;
   cfg.guard.recv_timeout_s = 0.5;
-  const std::string fp = "dist.msg.corrupt=thread(1)*once*corrupt(3)";
+  const std::string fp = "net.frame.corrupt=thread(1)*once*corrupt(3)";
   const Outcome a = run_ddp_scenario(fp, 11, cfg);
   ASSERT_EQ(a.kind, Outcome::Kind::kCommError);
   EXPECT_EQ(a.comm_kind, static_cast<int>(CommError::Kind::kCorrupt));
@@ -227,13 +227,13 @@ TEST_F(ChaosDdp, CorruptedPayloadDetectedByChecksum) {
 // trainer rethrows the first error in rank order, so the detector
 // (rank 0) must outrank the collateral timeout on the faulty rank.
 // The dup targets rank 1's FIRST collective send (the deterministic
-// ring makes one send per step at world 2), so the stale packet is
+// ring makes one send per step at world 2), so the stale frame is
 // still in the queue when rank 0 reads step 2's traffic.
 TEST_F(ChaosDdp, DuplicatedMessageDetectedBySequence) {
   auto cfg = two_rank_config();
   cfg.guard.enabled = true;
   cfg.guard.recv_timeout_s = 0.5;
-  const std::string fp = "dist.msg.dup=thread(1)*nth(1)";
+  const std::string fp = "net.frame.dup=thread(1)*nth(1)";
   const Outcome a = run_ddp_scenario(fp, 13, cfg);
   ASSERT_EQ(a.kind, Outcome::Kind::kCommError);
   EXPECT_EQ(a.comm_kind, static_cast<int>(CommError::Kind::kDuplicate));

@@ -11,9 +11,9 @@
 //
 // Parity is asserted through STEP-level failpoints (dist.rank.straggler,
 // dist.grad.corrupt) only: transport-level schedules like
-// dist.msg.drop=nth(K) count individual sends, and the overlapped mode
+// net.frame.drop=nth(K) count individual frames, and the overlapped mode
 // legitimately makes a different number of sends per step (one per
-// bucket), so wire-indexed specs address different packets per mode by
+// bucket), so wire-indexed specs address different frames per mode by
 // design.
 #include <gtest/gtest.h>
 

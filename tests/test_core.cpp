@@ -61,6 +61,18 @@ TEST(Shape, ScalarShape) {
 
 TEST(Shape, StrPrintsDims) { EXPECT_EQ(Shape({5, 7}).str(), "[5, 7]"); }
 
+TEST(Shape, RejectsOverflowingElementCount) {
+  const index_t big = index_t{1} << 31;
+  // (2^31, 2^31, 4): an unchecked product wraps to 0.
+  EXPECT_THROW(Shape({big, big, 4}), std::invalid_argument);
+  const index_t dims[] = {big, big, 2};  // 2^63, one past the maximum
+  EXPECT_THROW(Shape(dims, 3), std::invalid_argument);
+  // A zero extent does not hide an overflowing stride.
+  EXPECT_THROW(Shape({0, big, big, 4}), std::invalid_argument);
+  EXPECT_EQ(Shape({big, big, 1}).numel(), index_t{1} << 62);
+  EXPECT_EQ(Shape({0, big, big}).stride(0), index_t{1} << 62);
+}
+
 // --------------------------------------------------------------- Tensor
 TEST(Tensor, ZeroInitialized) {
   Tensor t({3, 4});
@@ -305,6 +317,50 @@ TEST(ImageIO, PgmRoundTrip) {
 TEST(ImageIO, PgmRejectsNon2d) {
   Tensor t({2, 2, 2});
   EXPECT_THROW(write_pgm("/tmp/x.pgm", t), std::invalid_argument);
+}
+
+// Hostile PGM headers: dimensions are checked against the bytes left
+// in the file before the pixel buffer is allocated.
+TEST(ImageIO, PgmEveryTruncationThrows) {
+  const std::string path =
+      std::filesystem::temp_directory_path() / "ccovid_full.pgm";
+  Rng rng(29);
+  Tensor img({5, 7});
+  rng.fill_uniform(img, 0.0, 1.0);
+  write_pgm(path, img, 0.0f, 1.0f);
+  std::ifstream in(path, std::ios::binary);
+  const std::string full((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_GT(full.size(), 35u);
+  const std::string cut =
+      std::filesystem::temp_directory_path() / "ccovid_cut.pgm";
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    std::ofstream(cut, std::ios::binary)
+        .write(full.data(), static_cast<std::streamsize>(len));
+    EXPECT_THROW(read_pgm(cut), std::runtime_error)
+        << "prefix of " << len << " of " << full.size() << " bytes";
+  }
+  EXPECT_EQ(read_pgm(path).shape(), img.shape());
+  std::remove(cut.c_str());
+  std::remove(path.c_str());
+}
+
+TEST(ImageIO, PgmOversizedOrNonPositiveDimsThrow) {
+  const std::string path =
+      std::filesystem::temp_directory_path() / "ccovid_dims.pgm";
+  const std::string pixels(64, '\x7f');
+  for (const char* header :
+       {"P5\n2147483648 2147483648\n255\n",   // ~4.6e18 pixels
+        "P5\n9223372036854775807 2\n255\n",   // w*h overflows
+        "P5\n8 9\n255\n",                     // one row past the data
+        "P5\n0 4\n255\n", "P5\n4 0\n255\n", "P5\n-3 4\n255\n",
+        "P5\n4 -3\n255\n", "P5\nx 4\n255\n"}) {
+    std::ofstream(path, std::ios::binary) << header << pixels;
+    EXPECT_THROW(read_pgm(path), std::runtime_error) << header;
+  }
+  std::ofstream(path, std::ios::binary) << "P5\n8 8\n255\n" << pixels;
+  EXPECT_EQ(read_pgm(path).shape(), Shape({8, 8}));
+  std::remove(path.c_str());
 }
 
 TEST(ImageIO, CsvWritesHeaderAndRows) {

@@ -1,36 +1,45 @@
-// Message-passing runtime and distributed data-parallel trainer:
-// point-to-point channels, barrier, ring all-reduce correctness across
-// world sizes and payload lengths, DDP replica consistency and its
+// Message-passing runtime and distributed data-parallel trainer: the
+// byte Channel under the in-process transport, World point-to-point
+// and broadcast, the deterministic allreduce family across world sizes,
+// payload lengths and algorithms, DDP replica consistency and its
 // equivalence to large-batch single-worker training.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <optional>
+#include <string>
 #include <thread>
+#include <tuple>
 
 #include "autograd/losses.h"
-#include "dist/channel.h"
+#include "core/random.h"
+#include "dist/collective.h"
 #include "dist/comm.h"
 #include "dist/ddp.h"
 #include "dist/interconnect.h"
+#include "net/channel.h"
 #include "nn/ddnet.h"
 
 namespace ccovid::dist {
 namespace {
 
 TEST(Channel, FifoOrder) {
-  Channel ch;
-  ch.send({1.0f});
-  ch.send({2.0f});
-  EXPECT_FLOAT_EQ(ch.recv()[0], 1.0f);
-  EXPECT_FLOAT_EQ(ch.recv()[0], 2.0f);
+  net::Channel ch;
+  ch.send({1});
+  ch.send({2, 3});
+  EXPECT_EQ(*ch.recv_for(5.0), net::Bytes{1});
+  EXPECT_EQ(*ch.recv_for(5.0), (net::Bytes{2, 3}));
 }
 
 TEST(Channel, BlocksUntilMessage) {
-  Channel ch;
-  std::thread producer([&] { ch.send({42.0f}); });
-  const Message m = ch.recv();
+  net::Channel ch;
+  std::thread producer([&] { ch.send({42}); });
+  const std::optional<net::Bytes> m = ch.recv_for(60.0);
   producer.join();
-  EXPECT_FLOAT_EQ(m[0], 42.0f);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(*m, net::Bytes{42});
 }
 
 TEST(World, PointToPoint) {
@@ -41,21 +50,20 @@ TEST(World, PointToPoint) {
   EXPECT_FLOAT_EQ(m[1], 4.5f);
 }
 
-TEST(World, BarrierSynchronizesAllRanks) {
-  World w(4);
-  std::atomic<int> before{0}, after{0};
-  std::vector<std::thread> threads;
-  for (int r = 0; r < 4; ++r) {
-    threads.emplace_back([&, r] {
-      (void)r;
-      before.fetch_add(1);
-      w.barrier();
-      EXPECT_EQ(before.load(), 4);  // nobody passes until all arrived
-      after.fetch_add(1);
-    });
+TEST(World, GuardedRecvTimesOutTyped) {
+  World w(2);
+  GuardOptions g;
+  g.enabled = true;
+  g.recv_timeout_s = 0.05;
+  w.set_guard(g);
+  try {
+    (void)w.recv(1, 0);
+    FAIL() << "recv with no sender must time out";
+  } catch (const CommError& e) {
+    EXPECT_EQ(e.kind(), CommError::Kind::kTimeout);
+    EXPECT_EQ(e.at(), 1);
+    EXPECT_EQ(e.from(), 0);
   }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(after.load(), 4);
 }
 
 struct AllReduceCase {
@@ -63,53 +71,65 @@ struct AllReduceCase {
   index_t length;
 };
 
-class AllReduceSweep : public ::testing::TestWithParam<AllReduceCase> {};
+using SweepParam = std::tuple<AllReduceCase, Collective>;
 
-TEST_P(AllReduceSweep, SumsAcrossRanks) {
-  const auto c = GetParam();
-  World w(c.world);
+class AllReduceSweep : public ::testing::TestWithParam<SweepParam> {};
+
+std::string sweep_name(const ::testing::TestParamInfo<SweepParam>& info) {
+  const auto& [c, alg] = info.param;
+  std::string name = "w" + std::to_string(c.world) + "_len" +
+                     std::to_string(c.length) + "_" + collective_name(alg);
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+TEST_P(AllReduceSweep, MatchesRankOrderFoldBitwise) {
+  const auto [c, alg] = GetParam();
+  const std::size_t len = static_cast<std::size_t>(c.length);
+  // Values spread over 2^-8..2^8 so that a different summation order
+  // would round differently.
+  Rng rng(static_cast<std::uint64_t>(1000 * c.world + c.length));
   std::vector<std::vector<real_t>> buffers(c.world);
-  // buffer[r][i] = r + i; expected sum over r = W*(W-1)/2 + W*i.
-  for (int r = 0; r < c.world; ++r) {
-    buffers[r].resize(static_cast<std::size_t>(c.length));
-    for (index_t i = 0; i < c.length; ++i) {
-      buffers[r][i] = static_cast<real_t>(r + i);
+  for (auto& b : buffers) {
+    b.resize(len);
+    for (real_t& v : b) {
+      v = static_cast<real_t>(
+          rng.gaussian(0, 1) *
+          std::ldexp(1.0, static_cast<int>(rng.uniform_int(-8, 8))));
     }
   }
+  // The canonical fold ((c0 + c1) + c2) + ... every algorithm reproduces.
+  std::vector<real_t> expected = buffers[0];
+  for (int r = 1; r < c.world; ++r) {
+    for (std::size_t i = 0; i < len; ++i) expected[i] += buffers[r][i];
+  }
+  World w(c.world);
   std::vector<std::thread> threads;
   for (int r = 0; r < c.world; ++r) {
     threads.emplace_back(
-        [&w, &buffers, r] { w.all_reduce_sum(r, buffers[r]); });
+        [&w, &buffers, r, alg = alg] { all_reduce(w, r, buffers[r], alg); });
   }
   for (auto& t : threads) t.join();
-  const double base = c.world * (c.world - 1) / 2.0;
   for (int r = 0; r < c.world; ++r) {
-    for (index_t i = 0; i < c.length; ++i) {
-      EXPECT_NEAR(buffers[r][i], base + c.world * i, 1e-3)
-          << "rank " << r << " index " << i;
-    }
+    ASSERT_EQ(buffers[r].size(), len);
+    EXPECT_EQ(std::memcmp(buffers[r].data(), expected.data(),
+                          len * sizeof(real_t)),
+              0)
+        << "rank " << r;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sizes, AllReduceSweep,
-    ::testing::Values(AllReduceCase{1, 16}, AllReduceCase{2, 10},
-                      AllReduceCase{3, 7},   // length not divisible
-                      AllReduceCase{4, 64}, AllReduceCase{8, 33},
-                      AllReduceCase{5, 4},   // world > chunks? (len < n ok)
-                      AllReduceCase{2, 1}));
-
-TEST(World, AllReduceTracksBytes) {
-  World w(2);
-  std::vector<real_t> a(100, 1.0f), b(100, 2.0f);
-  std::thread t0([&] { w.all_reduce_sum(0, a); });
-  std::thread t1([&] { w.all_reduce_sum(1, b); });
-  t0.join();
-  t1.join();
-  // Ring: 2*(world-1) = 2 sends of ~half the buffer each = ~100 floats.
-  EXPECT_NEAR(static_cast<double>(w.bytes_sent(0)), 100 * sizeof(real_t),
-              8 * sizeof(real_t));
-}
+    ::testing::Combine(
+        ::testing::Values(AllReduceCase{1, 16}, AllReduceCase{2, 10},
+                          AllReduceCase{3, 7},  // length not divisible
+                          AllReduceCase{4, 64}, AllReduceCase{8, 33},
+                          AllReduceCase{5, 4},  // length < world
+                          AllReduceCase{2, 1}),
+        ::testing::Values(Collective::kRing, Collective::kTree,
+                          Collective::kBcastHalving)),
+    sweep_name);
 
 TEST(World, BroadcastFromEveryRoot) {
   for (int root = 0; root < 3; ++root) {
@@ -130,43 +150,6 @@ TEST(World, BroadcastFromEveryRoot) {
         EXPECT_FLOAT_EQ(bufs[r][i],
                         static_cast<real_t>(10 * root + static_cast<int>(i)));
       }
-    }
-  }
-}
-
-TEST(World, ReduceSumToRoot) {
-  World w(4);
-  std::vector<std::vector<real_t>> bufs(4);
-  for (int r = 0; r < 4; ++r) bufs[r] = {real_t(r), real_t(2 * r)};
-  std::vector<std::thread> threads;
-  for (int r = 0; r < 4; ++r) {
-    threads.emplace_back([&w, &bufs, r] { w.reduce_sum(r, 2, bufs[r]); });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_FLOAT_EQ(bufs[2][0], 0 + 1 + 2 + 3);
-  EXPECT_FLOAT_EQ(bufs[2][1], 2 * (0 + 1 + 2 + 3));
-  // Non-roots untouched.
-  EXPECT_FLOAT_EQ(bufs[0][0], 0.0f);
-  EXPECT_FLOAT_EQ(bufs[3][1], 6.0f);
-}
-
-TEST(World, AllGatherOrdersChunksByRank) {
-  const int n = 4;
-  World w(n);
-  std::vector<std::vector<real_t>> outs(n);
-  std::vector<std::thread> threads;
-  for (int r = 0; r < n; ++r) {
-    threads.emplace_back([&w, &outs, r] {
-      const std::vector<real_t> mine = {real_t(r), real_t(r) + 0.5f};
-      w.all_gather(r, mine, outs[r]);
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (int r = 0; r < n; ++r) {
-    ASSERT_EQ(outs[r].size(), 8u);
-    for (int c = 0; c < n; ++c) {
-      EXPECT_FLOAT_EQ(outs[r][2 * c], real_t(c)) << "rank " << r;
-      EXPECT_FLOAT_EQ(outs[r][2 * c + 1], real_t(c) + 0.5f);
     }
   }
 }

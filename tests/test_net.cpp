@@ -348,34 +348,32 @@ TEST(TransportGuard, RecvTimesOutTyped) {
 
 TEST(Channel, NotifyAllWakesEveryConsumer) {
   // Regression for the notify_one wakeup bug: with two consumers
-  // blocked in recv_packet_for, a single notify could land on a waiter
-  // that times out on the same tick and swallows the wakeup, stranding
-  // the other consumer although a packet sits in the queue. notify_all
+  // blocked in recv_for, a single notify could land on a waiter that
+  // times out on the same tick and swallows the wakeup, stranding the
+  // other consumer although a message sits in the queue. notify_all
   // makes the hammer below drain reliably.
   net::Channel ch;
-  constexpr int kPackets = 400;
+  constexpr int kMessages = 400;
   std::atomic<int> received{0};
   auto consumer = [&] {
-    while (received.load(std::memory_order_relaxed) < kPackets) {
-      auto p = ch.recv_packet_for(0.001);  // deliberately tiny timeout
-      if (p) received.fetch_add(1, std::memory_order_relaxed);
+    while (received.load(std::memory_order_relaxed) < kMessages) {
+      auto m = ch.recv_for(0.001);  // deliberately tiny timeout
+      if (m) received.fetch_add(1, std::memory_order_relaxed);
     }
   };
   std::thread c1(consumer), c2(consumer);
-  for (int i = 0; i < kPackets; ++i) {
-    net::Packet p;
-    p.payload = net::Message(1, static_cast<real_t>(i));
-    ch.send_packet(std::move(p));
+  for (int i = 0; i < kMessages; ++i) {
+    ch.send(net::Bytes(1, static_cast<std::uint8_t>(i)));
   }
   c1.join();
   c2.join();
-  EXPECT_EQ(received.load(), kPackets);
+  EXPECT_EQ(received.load(), kMessages);
 }
 
 TEST(Channel, CloseUnblocksReceivers) {
   net::Channel ch;
   std::thread t([&] {
-    EXPECT_FALSE(ch.recv_packet_for(5.0).has_value());  // returns early
+    EXPECT_FALSE(ch.recv_for(5.0).has_value());  // returns early
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   ch.close();

@@ -3,6 +3,7 @@
 //
 //   ccovid_train --out-dir models [--px 32] [--depth 8] [--volumes 40]
 //                [--epochs 16] [--seed 7] [--ranks 1]
+//                [--guard] [--recv-timeout S]
 //                [--collective ring|tree|bcast-halving|auto]
 //                [--bucket-kb 1024] [--no-overlap]
 //
@@ -12,7 +13,11 @@
 // CCOVID_COLLECTIVE, else the interconnect cost model), --bucket-kb
 // sets the gradient bucket budget, and --no-overlap falls back to the
 // reduce-after-backward path. All combinations produce bitwise
-// identical weights. With --trace-out the per-rank
+// identical weights. DDP frames are always sequence- and
+// checksum-verified; --guard bounds every receive wait at
+// --recv-timeout seconds (default CCOVID_RECV_TIMEOUT, else 2 s), so a
+// lost message or a dead rank raises a typed CommError instead of
+// hanging the collective. With --trace-out the per-rank
 // ddp.compute/allreduce/apply lanes land in the chrome trace.
 //
 // Produces models/ddnet.tnsr, models/ahnet.tnsr, models/densenet3d.tnsr
@@ -42,7 +47,7 @@ int main(int argc, char** argv) {
   index_t px = 32, depth = 8, volumes = 40;
   int epochs = 16, ranks = 1;
   std::uint64_t seed = 7;
-  // Guarded-transport receive budget for the --ranks path; defaults to
+  // Receive-wait bound for the --ranks path under --guard; defaults to
   // CCOVID_RECV_TIMEOUT (else 2 s) — see net/error.h.
   double recv_timeout_s = net::default_recv_timeout_s();
   bool guard = false;
@@ -110,7 +115,9 @@ int main(int argc, char** argv) {
           "                   [--ranks R] [--guard] [--recv-timeout S]\n"
           "                   [--collective ring|tree|bcast-halving|auto]\n"
           "                   [--bucket-kb N] [--no-overlap]\n"
-          "                   [--simd MODE] [--trace-out PATH]\n");
+          "                   [--simd MODE] [--trace-out PATH]\n"
+          "  --guard  bound each DDP receive wait at --recv-timeout S seconds\n"
+          "           (--recv-timeout implies it; frames are always verified)\n");
       return !std::strcmp(argv[i], "--help") ? 0 : 1;
     }
   }
