@@ -3,7 +3,8 @@
 # suite, explicit chaos/trace labeled subsets, then the sanitizer
 # presets over the concurrency-heavy suites — including test_trace,
 # whose snapshot-while-writing test is the one the trace ring's
-# relaxed-atomic slot design exists to keep race-free. Every ctest run
+# relaxed-atomic slot design exists to keep race-free — and the chaos
+# suites under asan. Every ctest run
 # goes through run_ctest so a failing subset is named and its exit
 # status propagated, never masked by the EXIT trap's preset message.
 #
@@ -93,4 +94,9 @@ for preset in tsan asan; do
   run_ctest "$preset-fast" ctest --preset "$preset-fast"
   run_ctest "$preset-trace" ctest --preset "$preset-trace"
 done
+# The fault schedules over the production allocator path: the tensor
+# block pool runs under ASan exactly as in Release.
+start=$(date +%s)
+run_ctest "asan-chaos" ctest --preset asan-chaos -j"$JOBS"
+echo "asan-chaos: $(( $(date +%s) - start ))s"
 CURRENT_PRESET=done

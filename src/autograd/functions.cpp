@@ -186,13 +186,15 @@ Var batch_norm(const Var& x, const Var& gamma, const Var& beta,
 }
 
 Var max_pool2d(const Var& x, ops::Pool2dParams p) {
-  auto res = std::make_shared<ops::MaxPool2dResult>(
-      ops::max_pool2d(x.value(), p));
-  Var y = Var::make_node(res->output.clone(), {x});
+  // The argmax is built only when a gradient will flow through it.
+  ops::MaxPool2dResult res = ops::max_pool2d(
+      x.value(), p, x.requires_grad() && GradMode::enabled());
+  Var y = Var::make_node(std::move(res.output), {x});
   if (y.requires_grad()) {
     const index_t h = x.value().dim(2), w = x.value().dim(3);
-    y.set_backward([x, res, h, w](const Tensor& g) {
-      accumulate_grad(x, ops::max_pool2d_backward(g, res->argmax, h, w));
+    y.set_backward([x, argmax = std::move(res.argmax), h, w](
+                       const Tensor& g) {
+      accumulate_grad(x, ops::max_pool2d_backward(g, argmax, h, w));
     });
   }
   return y;
@@ -223,14 +225,15 @@ Var unpool2d(const Var& x, index_t scale) {
 }
 
 Var max_pool3d(const Var& x, ops::Pool3dParams p) {
-  auto res = std::make_shared<ops::MaxPool3dResult>(
-      ops::max_pool3d(x.value(), p));
-  Var y = Var::make_node(res->output.clone(), {x});
+  ops::MaxPool3dResult res = ops::max_pool3d(
+      x.value(), p, x.requires_grad() && GradMode::enabled());
+  Var y = Var::make_node(std::move(res.output), {x});
   if (y.requires_grad()) {
     const index_t d = x.value().dim(2), h = x.value().dim(3),
                   w = x.value().dim(4);
-    y.set_backward([x, res, d, h, w](const Tensor& g) {
-      accumulate_grad(x, ops::max_pool3d_backward(g, res->argmax, d, h, w));
+    y.set_backward([x, argmax = std::move(res.argmax), d, h, w](
+                       const Tensor& g) {
+      accumulate_grad(x, ops::max_pool3d_backward(g, argmax, d, h, w));
     });
   }
   return y;

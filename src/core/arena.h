@@ -4,8 +4,10 @@
 // need short-lived buffers whose size repeats every call. Allocating
 // them from the heap per call costs a lock + page faults; a bump arena
 // costs two pointer adjustments and, after the first call warmed the
-// chunk up, performs zero heap allocations — the load-bearing property
-// behind the steady-state zero-allocation guarantee (tests/test_alloc).
+// chunk up, takes no fresh block. That is the arena's half of the
+// steady-state zero-fresh-block guarantee (tests/test_alloc); tensor
+// storage recycled through the block pool (core/alloc_cache.h) is the
+// other half. Chunks come from that pool and count as its misses.
 //
 // Usage — strictly LIFO, enforced by RAII:
 //

@@ -1,6 +1,7 @@
 #include "core/parallel.h"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <thread>
 
@@ -14,11 +15,25 @@ std::atomic<int> g_num_threads{0};  // 0 = "use default"
 
 thread_local int t_num_threads = 0;  // per-thread override; 0 = none
 
+// Largest thread count the environment may ask for: far above any core
+// count, small enough that a typo cannot spawn millions of workers.
+constexpr long kMaxEnvThreads = 1024;
+
+/// The whole value must be an integer in [1, kMaxEnvThreads]; anything
+/// else warns on stderr and counts as unset (0).
 int env_threads(const char* name) {
   const char* s = std::getenv(name);
   if (s == nullptr || *s == '\0') return 0;
-  const int v = std::atoi(s);
-  return v > 0 ? v : 0;
+  char* end = nullptr;
+  const long v = std::strtol(s, &end, 10);
+  if (end == s || *end != '\0' || v < 1 || v > kMaxEnvThreads) {
+    std::fprintf(stderr,
+                 "ccovid: %s: bad value '%s' (want an integer in [1, %ld]); "
+                 "ignoring it\n",
+                 name, s, kMaxEnvThreads);
+    return 0;
+  }
+  return static_cast<int>(v);
 }
 
 int default_threads() {

@@ -20,9 +20,10 @@ std::shared_ptr<real_t[]> allocate_aligned(index_t n) {
   const std::size_t padded =
       (bytes + kTensorAlignment - 1) / kTensorAlignment * kTensorAlignment;
   // Exact-size block pool: steady-state inference cycles through the
-  // same tensor shapes, so after warm-up this recycles instead of
-  // touching the heap. Recycled blocks hold stale data — the memset
-  // preserves the constructor's zero-init contract.
+  // same tensor shapes, so after warm-up this recycles a parked block
+  // instead of taking a fresh one from the system heap. Recycled blocks
+  // hold stale data — the memset preserves the constructor's zero-init
+  // contract.
   void* p = cache_aligned_alloc(padded);
   std::memset(p, 0, padded);
   return std::shared_ptr<real_t[]>(static_cast<real_t*>(p),

@@ -375,7 +375,9 @@ std::vector<Tensor> eval_all_nodes(const Graph& g, const Tensor& input) {
         out = ops::leaky_relu(values[size_t(n.inputs[0])], n.slope);
         break;
       case OpKind::kMaxPool:
-        out = ops::max_pool2d(values[size_t(n.inputs[0])], n.pool).output;
+        out = ops::max_pool2d(values[size_t(n.inputs[0])], n.pool,
+                              /*with_argmax=*/false)
+                  .output;
         break;
       case OpKind::kUnpool:
         out = ops::unpool2d_bilinear(values[size_t(n.inputs[0])], n.scale);

@@ -16,6 +16,8 @@
 #include <optional>
 #include <vector>
 
+#include "net/error.h"
+
 namespace ccovid::net {
 
 using Bytes = std::vector<std::uint8_t>;
@@ -43,8 +45,8 @@ class Channel {
   /// vs poll-timeout distinction).
   std::optional<Bytes> recv_for(double timeout_s) {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait_for(lock, std::chrono::duration<double>(timeout_s),
-                 [this] { return !queue_.empty() || closed_; });
+    cv_.wait_until(lock, recv_deadline(timeout_s),
+                   [this] { return !queue_.empty() || closed_; });
     if (queue_.empty()) return std::nullopt;
     Bytes m = std::move(queue_.front());
     queue_.pop_front();

@@ -8,7 +8,12 @@
 // path, so DDP chaos suites and sharded serving share these types.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -31,15 +36,49 @@ struct GuardOptions {
   GuardOptions();
 };
 
+/// Longest receive wait, in seconds (~31.7 years). A deadline of now +
+/// timeout must stay inside steady_clock's range (~292 years of
+/// nanoseconds); past it the sum wraps into the past and every receive
+/// gives up at once.
+inline constexpr double kMaxRecvTimeoutS = 1e9;
+
+/// Parses a receive timeout in seconds: the whole string must be one
+/// number in (0, kMaxRecvTimeoutS]. nullopt for anything else,
+/// including inf and nan.
+inline std::optional<double> parse_recv_timeout_s(const char* s) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !(v > 0.0 && v <= kMaxRecvTimeoutS)) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+/// The steady-clock instant timeout_s from now, with the wait clamped to
+/// [0, kMaxRecvTimeoutS] (nan counts as 0) so it cannot wrap.
+inline std::chrono::steady_clock::time_point recv_deadline(double timeout_s) {
+  const double s = timeout_s > 0.0 ? std::min(timeout_s, kMaxRecvTimeoutS)
+                                   : 0.0;
+  return std::chrono::steady_clock::now() +
+         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+             std::chrono::duration<double>(s));
+}
+
 /// Resolves the process-wide default receive timeout: the
-/// CCOVID_RECV_TIMEOUT environment variable (seconds, > 0) when set and
-/// parseable, otherwise 2.0. Parsed on every call so tests can vary the
-/// environment; callers on hot paths should cache the GuardOptions.
+/// CCOVID_RECV_TIMEOUT environment variable when set and valid (see
+/// parse_recv_timeout_s), otherwise 2.0. An invalid value warns once on
+/// stderr. Parsed on every call so tests can vary the environment;
+/// callers on hot paths should cache the GuardOptions.
 inline double default_recv_timeout_s() {
-  if (const char* env = std::getenv("CCOVID_RECV_TIMEOUT")) {
-    char* end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end != env && v > 0.0) return v;
+  const char* env = std::getenv("CCOVID_RECV_TIMEOUT");
+  if (env == nullptr || *env == '\0') return 2.0;
+  if (const std::optional<double> v = parse_recv_timeout_s(env)) return *v;
+  static std::atomic<bool> warned{false};
+  if (!warned.exchange(true, std::memory_order_relaxed)) {
+    std::fprintf(stderr,
+                 "ccovid: CCOVID_RECV_TIMEOUT: bad value '%s' (want seconds "
+                 "in (0, 1e9]); using 2 s\n",
+                 env);
   }
   return 2.0;
 }

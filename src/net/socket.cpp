@@ -1,6 +1,7 @@
 #include "net/socket.h"
 
 #include <arpa/inet.h>
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <netinet/in.h>
@@ -22,8 +23,7 @@ namespace {
 /// revents mask (0 on timeout). Restarts on EINTR with the remaining
 /// budget.
 short poll_for(int fd, short events, double timeout_s) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(timeout_s);
+  const auto deadline = recv_deadline(timeout_s);
   for (;;) {
     const double remain =
         std::chrono::duration<double>(deadline -
@@ -33,7 +33,8 @@ short poll_for(int fd, short events, double timeout_s) {
     struct pollfd pfd {};
     pfd.fd = fd;
     pfd.events = events;
-    const int ms = static_cast<int>(remain * 1e3) + 1;  // round up
+    // Round up; a wait longer than ~11 days polls again.
+    const int ms = static_cast<int>(std::min(remain * 1e3, 1e9)) + 1;
     const int rc = ::poll(&pfd, 1, ms);
     if (rc > 0) return pfd.revents;
     if (rc == 0) return 0;
@@ -227,8 +228,7 @@ std::unique_ptr<SocketTransport> connect_endpoint(const Endpoint& ep,
                                                   double timeout_s,
                                                   int local_id, int peer_id) {
   TRACE_SPAN("net.connect");
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(timeout_s);
+  const auto deadline = recv_deadline(timeout_s);
   std::string last_error = "timeout";
   for (;;) {
     int fd = -1;

@@ -44,10 +44,7 @@ void Transport::send(FrameType type, std::vector<std::uint8_t> payload) {
 
 std::optional<Frame> Transport::recv_for(double timeout_s) {
   TRACE_SPAN("net.frame.recv");
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(timeout_s));
+  const auto deadline = recv_deadline(timeout_s);
   for (;;) {
     std::optional<Frame> f = decoder_.next();  // throws kCorrupt
     if (f) {

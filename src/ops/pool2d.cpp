@@ -51,25 +51,28 @@ void max_pool2d_plane(const real_t* in_p, real_t* out_p, index_t* arg_p,
   }
 }
 
-MaxPool2dResult max_pool2d(const Tensor& input, Pool2dParams p) {
+MaxPool2dResult max_pool2d(const Tensor& input, Pool2dParams p,
+                           bool with_argmax) {
   TRACE_SPAN("ops.max_pool2d");
   check_pool_args(input, p);
   const index_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
                 w = input.dim(3);
   const index_t ho = pool_out_extent(h, p);
   const index_t wo = pool_out_extent(w, p);
-  MaxPool2dResult res{Tensor({n, c, ho, wo}),
-                      std::vector<index_t>(
-                          static_cast<std::size_t>(n * c * ho * wo))};
+  MaxPool2dResult res{Tensor({n, c, ho, wo}), {}};
+  if (with_argmax) {
+    res.argmax.resize(static_cast<std::size_t>(n * c * ho * wo));
+  }
   const real_t* ip = input.data();
   real_t* op = res.output.data();
-  index_t* ap = res.argmax.data();
+  index_t* ap = with_argmax ? res.argmax.data() : nullptr;
 
   parallel_for(
       0, n * c,
       [&](index_t plane) {
         max_pool2d_plane(ip + plane * h * w, op + plane * ho * wo,
-                         ap + plane * ho * wo, h, w, ho, wo, p);
+                         ap ? ap + plane * ho * wo : nullptr, h, w, ho, wo,
+                         p);
       },
       /*grain=*/1);
   return res;

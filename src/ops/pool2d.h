@@ -23,7 +23,11 @@ struct MaxPool2dResult {
   std::vector<index_t> argmax;
 };
 
-MaxPool2dResult max_pool2d(const Tensor& input, Pool2dParams p);
+/// With `with_argmax` false, res.argmax stays empty: a forward no
+/// gradient flows through needs no routing table. The output bits are
+/// the same either way.
+MaxPool2dResult max_pool2d(const Tensor& input, Pool2dParams p,
+                           bool with_argmax = true);
 
 /// Output spatial extent for one dimension: (in + 2*pad - ksize)/stride + 1.
 index_t pool_out_extent(index_t in, const Pool2dParams& p);

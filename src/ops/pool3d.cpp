@@ -25,19 +25,21 @@ void check_args(const Tensor& input, const Pool3dParams& p) {
 
 }  // namespace
 
-MaxPool3dResult max_pool3d(const Tensor& input, Pool3dParams p) {
+MaxPool3dResult max_pool3d(const Tensor& input, Pool3dParams p,
+                           bool with_argmax) {
   TRACE_SPAN("ops.max_pool3d");
   check_args(input, p);
   const index_t n = input.dim(0), c = input.dim(1), d = input.dim(2),
                 h = input.dim(3), w = input.dim(4);
   const index_t od = out_extent(d, p), oh = out_extent(h, p),
                 ow = out_extent(w, p);
-  MaxPool3dResult res{
-      Tensor({n, c, od, oh, ow}),
-      std::vector<index_t>(static_cast<std::size_t>(n * c * od * oh * ow))};
+  MaxPool3dResult res{Tensor({n, c, od, oh, ow}), {}};
+  if (with_argmax) {
+    res.argmax.resize(static_cast<std::size_t>(n * c * od * oh * ow));
+  }
   const real_t* ip = input.data();
   real_t* op = res.output.data();
-  index_t* ap = res.argmax.data();
+  index_t* ap = with_argmax ? res.argmax.data() : nullptr;
 
   // One job per (n, c, output depth plane), as in conv3d.
   parallel_for(
@@ -46,7 +48,7 @@ MaxPool3dResult max_pool3d(const Tensor& input, Pool3dParams p) {
         const index_t plane = job / od, oz = job % od;
         const real_t* in_p = ip + plane * d * h * w;
         real_t* out_p = op + plane * od * oh * ow;
-        index_t* arg_p = ap + plane * od * oh * ow;
+        index_t* arg_p = ap ? ap + plane * od * oh * ow : nullptr;
         for (index_t oy = 0; oy < oh; ++oy) {
           for (index_t ox = 0; ox < ow; ++ox) {
             real_t best = -std::numeric_limits<real_t>::infinity();
@@ -69,7 +71,7 @@ MaxPool3dResult max_pool3d(const Tensor& input, Pool3dParams p) {
               }
             }
             out_p[(oz * oh + oy) * ow + ox] = best;
-            arg_p[(oz * oh + oy) * ow + ox] = best_ix;
+            if (arg_p) arg_p[(oz * oh + oy) * ow + ox] = best_ix;
           }
         }
       },

@@ -20,7 +20,11 @@ struct MaxPool3dResult {
   std::vector<index_t> argmax;  ///< flat (d*h*w) winner per output element
 };
 
-MaxPool3dResult max_pool3d(const Tensor& input, Pool3dParams p);
+/// With `with_argmax` false, res.argmax stays empty: a forward no
+/// gradient flows through needs no routing table. The output bits are
+/// the same either way.
+MaxPool3dResult max_pool3d(const Tensor& input, Pool3dParams p,
+                           bool with_argmax = true);
 Tensor max_pool3d_backward(const Tensor& grad_out,
                            const std::vector<index_t>& argmax, index_t in_d,
                            index_t in_h, index_t in_w);

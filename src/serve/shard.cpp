@@ -372,9 +372,7 @@ void FrontDoor::shutdown() {
       // Dead anyway; the rx loop will notice and fail over.
     }
   }
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(opt_.recv_timeout_s));
+  const auto deadline = net::recv_deadline(opt_.recv_timeout_s);
   auto inflight_total = [&] {
     std::size_t n = 0;
     for (auto& cp : conns_) {

@@ -12,7 +12,7 @@
 //  * Disabled (the default): every site compiles to ONE relaxed atomic
 //    load of the global level — no lock, no map lookup, no allocation,
 //    no clock read. tests/test_trace.cpp asserts the no-allocation part
-//    via fresh_system_allocs().
+//    with a counting operator new.
 //  * Enabled: one clock read plus five relaxed atomic stores into the
 //    calling thread's preallocated ring (the ring itself is allocated
 //    once, on the thread's first event). No locks on the hot path; the

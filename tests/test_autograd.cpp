@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "autograd/functions.h"
 #include "autograd/gradcheck.h"
@@ -271,6 +272,46 @@ TEST(AutogradGrad, MaxPool3d) {
       {1, 1, 4, 4, 4},
       [](const Var& x) { return max_pool3d(x, ops::Pool3dParams{2, 2, 0}); },
       23);
+}
+
+// A forward no gradient flows through builds no argmax and hands the
+// op's output to the Var as is; its bits match the grad-mode forward.
+TEST(AutogradPool, NoGradMaxPoolMatchesGradForwardWithoutArgmax) {
+  const auto same_bits = [](const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.numel()) *
+                           sizeof(real_t)) == 0;
+  };
+  const Tensor x2 = random_tensor({2, 3, 7, 9}, 40);
+  const Tensor x3 = random_tensor({2, 3, 5, 7, 6}, 41);
+  const ops::Pool2dParams p2{3, 2, 1};
+  const ops::Pool3dParams p3{2, 2, 0};
+  EXPECT_TRUE(ops::max_pool2d(x2, p2, /*with_argmax=*/false).argmax.empty());
+  EXPECT_TRUE(ops::max_pool3d(x3, p3, /*with_argmax=*/false).argmax.empty());
+
+  const Var v2(x2, /*requires_grad=*/true), v3(x3, /*requires_grad=*/true);
+  const Var g2 = max_pool2d(v2, p2), g3 = max_pool3d(v3, p3);
+  Var n2, n3, c2, c3;
+  {
+    NoGradGuard no_grad;
+    n2 = max_pool2d(v2, p2);
+    n3 = max_pool3d(v3, p3);
+  }
+  c2 = max_pool2d(Var(x2), p2);  // constant input: no gradient either
+  c3 = max_pool3d(Var(x3), p3);
+  for (const Var* v : {&n2, &n3, &c2, &c3}) {
+    EXPECT_FALSE(v->requires_grad());
+    EXPECT_FALSE(v->impl()->backward_fn);
+  }
+  EXPECT_TRUE(g2.impl()->backward_fn);
+  EXPECT_TRUE(g3.impl()->backward_fn);
+  EXPECT_TRUE(same_bits(n2.value(), g2.value()));
+  EXPECT_TRUE(same_bits(c2.value(), g2.value()));
+  EXPECT_TRUE(same_bits(n3.value(), g3.value()));
+  EXPECT_TRUE(same_bits(c3.value(), g3.value()));
+  EXPECT_TRUE(same_bits(g2.value(), ops::max_pool2d(x2, p2).output));
+  EXPECT_TRUE(same_bits(g3.value(), ops::max_pool3d(x3, p3).output));
 }
 
 TEST(AutogradGrad, AvgPool3d) {

@@ -136,22 +136,19 @@ void expect_bitwise_equal(const std::vector<Tensor>& ref,
   }
 }
 
-// Steady state must not touch the system heap: after warm-up, building
-// and draining the same-shaped graph recycles every allocation (tape
-// nodes, staged clones, engine state) through the alloc cache. Declared
-// FIRST: the fuzzer's sweep of graph sizes would otherwise saturate the
-// cache's fixed-cap exact-size bins and manufacture churn this test
-// isn't about (test_alloc measures the same way — in a clean process).
+// Steady state must take no fresh pool block: after warm-up, building
+// and draining the same-shaped graph recycles every tensor (values,
+// gradients, staged clones) through the block pool. Declared FIRST: the
+// fuzzer's sweep of graph sizes would otherwise saturate the pool's
+// fixed-cap exact-size bins and manufacture churn this test isn't
+// about (test_alloc measures the same way — in a clean process).
 TEST(AutogradEngine, SteadyStateMakesNoFreshSystemAllocs) {
-  if (!alloc_cache_active()) {
-    GTEST_SKIP() << "alloc cache compiled out (sanitizer build)";
-  }
   ParallelPin pin(8);
   BackwardModeGuard guard(BackwardMode::kAsync);
   // A compact fixed graph, not a fuzzer draw: the contract under test is
-  // that the ENGINE recycles (tape nodes, staged clones, run state), so
-  // the per-iteration tensor population must stay comfortably inside the
-  // alloc cache's fixed per-bin caps — a graph-size stress of those caps
+  // that the ENGINE recycles (values, gradients, staged clones), so the
+  // per-iteration tensor population must stay comfortably inside the
+  // pool's fixed per-bin caps — a graph-size stress of those caps
   // belongs to test_alloc, not here.
   auto iterate = [] {
     Rng rng(9);
@@ -171,7 +168,7 @@ TEST(AutogradEngine, SteadyStateMakesNoFreshSystemAllocs) {
   // Concurrent staging means the peak number of simultaneously-live
   // blocks per size class depends on scheduling, so a late iteration can
   // legitimately grow the pools once more. Warm until a whole window of
-  // iterations runs clean; only a cache that never settles fails.
+  // iterations runs clean; only a pool that never settles fails.
   std::uint64_t delta = ~0ull;
   for (int attempt = 0; attempt < 6 && delta != 0; ++attempt) {
     for (int i = 0; i < 16; ++i) iterate();  // warm the pools

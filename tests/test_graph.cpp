@@ -435,9 +435,6 @@ std::uint64_t fresh_allocs_steady_state(int warmup, int iters, Body&& body) {
 }
 
 TEST(GraphAlloc, CompiledRunIsAllocationFreeInSteadyState) {
-  if (!alloc_cache_active()) {
-    GTEST_SKIP() << "alloc cache inactive (sanitizer build or disabled)";
-  }
   nn::seed_init_rng(13);
   nn::DDnet net(nn::DDnetConfig::tiny());
   net.set_training(false);
@@ -469,9 +466,6 @@ TEST(GraphAlloc, CompiledRunIsAllocationFreeInSteadyState) {
 }
 
 TEST(GraphAlloc, BiaslessConvWithFoldedBnHoistsTheBiasConstant) {
-  if (!alloc_cache_active()) {
-    GTEST_SKIP() << "alloc cache inactive (sanitizer build or disabled)";
-  }
   // Regression: a bias-less conv followed by batch-norm used to
   // materialize a zero bias tensor per call on the eval path; the
   // compiler hoists it into the step constants instead.

@@ -9,6 +9,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -394,6 +396,49 @@ TEST(RecvTimeout, EnvVariableSetsTheDefault) {
   EXPECT_DOUBLE_EQ(net::default_recv_timeout_s(), 2.0);
   ::unsetenv("CCOVID_RECV_TIMEOUT");
   EXPECT_DOUBLE_EQ(net::default_recv_timeout_s(), 2.0);
+}
+
+TEST(RecvTimeout, EnvRejectsValuesTheClockCannotHold) {
+  // inf and 1e10 s used to wrap the steady-clock deadline into the past,
+  // so every guarded receive gave up at once.
+  for (const char* bad : {"inf", "nan", "1e10", "-1", "abc", "0.5s"}) {
+    ::setenv("CCOVID_RECV_TIMEOUT", bad, 1);
+    EXPECT_DOUBLE_EQ(net::default_recv_timeout_s(), 2.0) << bad;
+  }
+  ::setenv("CCOVID_RECV_TIMEOUT", "0.5", 1);
+  EXPECT_DOUBLE_EQ(net::default_recv_timeout_s(), 0.5);
+  ::unsetenv("CCOVID_RECV_TIMEOUT");
+}
+
+TEST(RecvTimeout, FlagParserAcceptsOnlyFiniteInRangeSeconds) {
+  for (const char* bad : {"inf", "-inf", "nan", "1e10", "0", "-1", "", "2s"}) {
+    EXPECT_FALSE(net::parse_recv_timeout_s(bad).has_value()) << bad;
+  }
+  EXPECT_EQ(net::parse_recv_timeout_s("0.25"), 0.25);
+  EXPECT_EQ(net::parse_recv_timeout_s("1e9"), net::kMaxRecvTimeoutS);
+}
+
+TEST(RecvTimeout, HugeTimeoutStillWaitsForTheFrame) {
+  auto [a, b] = net::InprocTransport::make_pair();
+  std::thread sender([&a = a] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    a->send(FrameType::kData, {7});
+  });
+  const std::optional<Frame> f = b->recv_for(1e10);
+  sender.join();
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->payload, std::vector<std::uint8_t>{7});
+
+  net::Channel ch;
+  std::thread producer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ch.send(net::Bytes{9});
+  });
+  const std::optional<net::Bytes> m =
+      ch.recv_for(std::numeric_limits<double>::infinity());
+  producer.join();
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(*m, net::Bytes{9});
 }
 
 // ------------------------------------------------- shard protocol

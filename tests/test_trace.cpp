@@ -2,26 +2,47 @@
 // depth balance, ring wraparound accounting, the snapshot-while-writing
 // discard protocol under real concurrency, chrome trace-event JSON
 // schema checks, virtual-clock byte-stability, request-id propagation
-// across the serving runtime's threads, and the disabled-mode
-// no-allocation contract (via the alloc-cache's fresh_system_allocs
-// counter).
+// across the serving runtime's threads, and the no-allocation contract
+// of disabled sites and of warmed-up enabled emits (via the counting
+// operator new below).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <map>
+#include <new>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/alloc_cache.h"
 #include "data/phantom.h"
 #include "nn/layers.h"
 #include "serve/server.h"
 #include "trace/export.h"
 #include "trace/trace.h"
+
+// Counts the calling thread's operator new calls and forwards to malloc.
+// Tracing never touches tensors, so the block pool's miss counter would
+// measure nothing here; this hook sees every heap allocation a trace
+// site could make. Per thread, so other threads' traffic cannot leak in.
+namespace {
+thread_local std::uint64_t t_new_calls = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++t_new_calls;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line: inlined into a caller, gcc pairs the free() with the
+// caller's `new` and warns (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace ccovid {
 namespace {
@@ -475,11 +496,8 @@ TEST_F(TraceTest, RequestIdPropagatesAcrossBatcherThreads) {
 // ------------------------------------------------------- allocation
 
 TEST_F(TraceTest, DisabledSitesDoNotAllocate) {
-  if (!alloc_cache_active()) {
-    GTEST_SKIP() << "alloc cache inactive (sanitizer build or disabled)";
-  }
   ASSERT_FALSE(trace::enabled());
-  const std::uint64_t before = fresh_system_allocs();
+  const std::uint64_t before = t_new_calls;
   for (int i = 0; i < 100000; ++i) {
     TRACE_SPAN("alloc.span");
     TRACE_SPAN_ID("alloc.span.id", 1);
@@ -488,24 +506,21 @@ TEST_F(TraceTest, DisabledSitesDoNotAllocate) {
     TRACE_SPAN_V("alloc.verbose");
   }
   // A disabled site is one relaxed load — the loop must not have
-  // reached the system heap even once.
-  EXPECT_EQ(fresh_system_allocs() - before, 0u);
+  // reached the heap even once.
+  EXPECT_EQ(t_new_calls - before, 0u);
 }
 
 TEST_F(TraceTest, EnabledEmitIsAllocationFreeAfterRingWarmup) {
-  if (!alloc_cache_active()) {
-    GTEST_SKIP() << "alloc cache inactive (sanitizer build or disabled)";
-  }
   trace::set_level(1);
   TRACE_INSTANT("warm");  // materializes this thread's ring
-  const std::uint64_t before = fresh_system_allocs();
+  const std::uint64_t before = t_new_calls;
   for (int i = 0; i < 10000; ++i) {
     TRACE_SPAN("steady.span");
     TRACE_INSTANT("steady.instant");
   }
   // emit() writes into the preallocated ring: records wrap, the heap is
   // never touched.
-  EXPECT_EQ(fresh_system_allocs() - before, 0u);
+  EXPECT_EQ(t_new_calls - before, 0u);
 }
 
 }  // namespace

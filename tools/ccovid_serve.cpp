@@ -279,11 +279,12 @@ bool parse(int argc, char** argv, ToolArgs& a) {
       a.shard_id = std::atoi(v);
     } else if (!std::strcmp(arg, "--recv-timeout")) {
       if (!(v = next(arg))) return false;
-      a.recv_timeout_s = std::atof(v);
-      if (a.recv_timeout_s <= 0) {
-        std::fprintf(stderr, "--recv-timeout: expected seconds > 0\n");
+      const std::optional<double> t = net::parse_recv_timeout_s(v);
+      if (!t) {
+        std::fprintf(stderr, "--recv-timeout: expected seconds in (0, 1e9]\n");
         return false;
       }
+      a.recv_timeout_s = *t;
     } else if (!std::strcmp(arg, "--hb-interval-ms")) {
       if (!(v = next(arg))) return false;
       a.hb_interval_ms = std::atof(v);

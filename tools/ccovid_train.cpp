@@ -72,12 +72,13 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--ranks") && i + 1 < argc) {
       ranks = std::atoi(argv[++i]);
     } else if (!std::strcmp(argv[i], "--recv-timeout") && i + 1 < argc) {
-      recv_timeout_s = std::atof(argv[++i]);
-      guard = true;
-      if (recv_timeout_s <= 0) {
-        std::fprintf(stderr, "--recv-timeout: expected seconds > 0\n");
+      const std::optional<double> t = net::parse_recv_timeout_s(argv[++i]);
+      if (!t) {
+        std::fprintf(stderr, "--recv-timeout: expected seconds in (0, 1e9]\n");
         return 1;
       }
+      recv_timeout_s = *t;
+      guard = true;
     } else if (!std::strcmp(argv[i], "--guard")) {
       guard = true;
     } else if (!std::strcmp(argv[i], "--collective") && i + 1 < argc) {
