@@ -37,6 +37,7 @@
 #include "graph/graph.h"
 #include "graph_fuzzer.h"
 #include "nn/ddnet.h"
+#include "nn/densenet3d.h"
 #include "nn/layers.h"
 #include "pipeline/framework.h"
 #include "trace/trace.h"
@@ -384,6 +385,25 @@ TEST(Golden, FullDiagnose) {
     return d;
   });
   check_golden("diagnose_tiny_s3_vol8", h);
+}
+
+// The compact 3-D DenseNet's logit on its own, over a volume wide
+// enough that every conv3d layer runs vector interior columns (16- and
+// 8-wide blocks) as well as scalar borders and ragged tails. The tiny
+// diagnose case above is 8 pixels wide, so all of its conv3d columns
+// take the border path.
+TEST(Golden, ClassifierLogit) {
+  nn::seed_init_rng(3);
+  nn::DenseNet3d net(nn::DenseNet3dConfig::compact());
+  net.set_training(false);
+  Rng rng(17);
+  Tensor vol({1, 1, 12, 40, 40});
+  rng.fill_uniform(vol, 0.0, 1.0);
+  const std::uint64_t h = digest_across_widths([&] {
+    autograd::NoGradGuard no_grad;
+    return fnv1a64(net.forward(autograd::Var(vol)).value());
+  });
+  check_golden("densenet3d_logit_12x40x40", h);
 }
 
 // The two slice-wise stages on their own: the enhanced volume and the
