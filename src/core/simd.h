@@ -121,6 +121,20 @@ struct KernelTable {
                          index_t h, index_t w, index_t k, index_t oy,
                          index_t pad, index_t wo, const float* bias);
 
+  /// One stride-1 conv3d output row (oz, oy) for `nco` (1..4)
+  /// consecutive output channels. `in` is one batch item's (cin, d, h,
+  /// w) input; filters are contiguous (Cout, Cin, K, K, K) from wgt
+  /// (channel co0's); output row j at out + j*ostride_co; bias[j].
+  /// Taps run in ascending (ci, kz, ky, kx) order per output, skipping
+  /// out-of-range ones — the conv2d_row4_s1 body with a depth-tap loop
+  /// between ci and ky — so each output is bitwise the direct scalar
+  /// loop's. Interior columns run 16/8 per pass, borders scalar.
+  void (*conv3d_row4_s1)(const float* in, const float* wgt, float* out,
+                         index_t ostride_co, int nco, index_t cin,
+                         index_t d, index_t h, index_t w, index_t k,
+                         index_t oz, index_t oy, index_t pad, index_t wo,
+                         const float* bias);
+
   /// Multi-output-channel deconv2d_row_s1 (gather form), same contract
   /// as conv2d_row4_s1. With the (Cin,Cout,K,K) deconv weight layout,
   /// wstride_co = k*k and wstride_ci = cout*k*k.

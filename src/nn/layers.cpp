@@ -42,9 +42,8 @@ Var Deconv2d::forward(const Var& x) const {
   return autograd::deconv2d(x, weight_, bias_, p_, opt_);
 }
 
-Conv3d::Conv3d(index_t in_ch, index_t out_ch, index_t ksize, index_t stride,
-               index_t pad, bool bias) {
-  p_.stride = stride;
+Conv3d::Conv3d(index_t in_ch, index_t out_ch, index_t ksize, index_t pad,
+               bool bias) {
   p_.pad = pad < 0 ? ksize / 2 : pad;
   Tensor w({out_ch, in_ch, ksize, ksize, ksize});
   init_rng().fill_gaussian(w, 0.0, kInitStdDev);

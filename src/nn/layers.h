@@ -61,8 +61,9 @@ class Deconv2d : public Module {
 
 class Conv3d : public Module {
  public:
-  Conv3d(index_t in_ch, index_t out_ch, index_t ksize, index_t stride = 1,
-         index_t pad = -1, bool bias = true);
+  /// Stride-1 convolution; pad < 0 means "same" (ksize / 2).
+  Conv3d(index_t in_ch, index_t out_ch, index_t ksize, index_t pad = -1,
+         bool bias = true);
   Var forward(const Var& x) const;
 
  private:

@@ -1,17 +1,15 @@
 #include "ops/conv3d.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/parallel.h"
+#include "core/simd.h"
 #include "trace/trace.h"
 
 namespace ccovid::ops {
 
 namespace {
-
-index_t out_extent(index_t in, index_t k, index_t stride, index_t pad) {
-  return (in + 2 * pad - k) / stride + 1;
-}
 
 void check_args(const Tensor& input, const Tensor& weight,
                 const Tensor& bias, const Conv3dParams& p) {
@@ -38,59 +36,47 @@ void check_args(const Tensor& input, const Tensor& weight,
 Tensor conv3d(const Tensor& input, const Tensor& weight, const Tensor& bias,
               Conv3dParams p) {
   check_args(input, weight, bias, p);
+  if (p.stride != 1) {
+    throw std::invalid_argument("conv3d: only stride 1 is supported");
+  }
   TRACE_SPAN("ops.conv3d");
   const index_t n = input.dim(0), cin = input.dim(1), d = input.dim(2),
                 h = input.dim(3), w = input.dim(4);
   const index_t cout = weight.dim(0), k = weight.dim(2);
-  const index_t od = out_extent(d, k, p.stride, p.pad);
-  const index_t oh = out_extent(h, k, p.stride, p.pad);
-  const index_t ow = out_extent(w, k, p.stride, p.pad);
+  const index_t od = d + 2 * p.pad - k + 1;
+  const index_t oh = h + 2 * p.pad - k + 1;
+  const index_t ow = w + 2 * p.pad - k + 1;
   if (od <= 0 || oh <= 0 || ow <= 0) {
     throw std::invalid_argument("conv3d: non-positive output extent");
   }
   Tensor out({n, cout, od, oh, ow});
+  const Tensor zero_bias = bias.defined() ? Tensor() : Tensor({cout});
   const real_t* ip = input.data();
   const real_t* wp = weight.data();
-  const real_t* bp = bias.defined() ? bias.data() : nullptr;
+  const real_t* bp = bias.defined() ? bias.data() : zero_bias.data();
   real_t* op = out.data();
+  const simd::KernelTable& kt = simd::kernels();
 
-  // One job per (n, cout, output depth plane): the compact classifier's
-  // dense layers have only a handful of output channels, too few jobs
-  // to fill the lanes at (n, cout) granularity. Each output element
-  // keeps its (ci, kz, ky, kx) tap order, so the split is bit-neutral.
+  // One job per (n, output-channel quad, output depth plane): the
+  // compact classifier's dense layers have only a handful of output
+  // channels, too few jobs to fill the lanes at (n, quad) granularity.
+  // The row kernel keeps each output's (ci, kz, ky, kx) tap order, so
+  // the split is bit-neutral.
+  const index_t nquads = (cout + 3) / 4;
+  const index_t plane = oh * ow;
   parallel_for(
-      0, n * cout * od,
+      0, n * nquads * od,
       [&](index_t job) {
         const index_t oz = job % od;
-        const index_t ni = job / od / cout;
-        const index_t co = job / od % cout;
-        const real_t* in_n = ip + ni * cin * d * h * w;
-        const real_t* w_co = wp + co * cin * k * k * k;
-        real_t* out_p = op + (ni * cout + co) * od * oh * ow;
-        const real_t bias_v = bp ? bp[co] : 0.0f;
+        const index_t co0 = job / od % nquads * 4;
+        const index_t ni = job / od / nquads;
+        const int nco = static_cast<int>(std::min<index_t>(4, cout - co0));
+        real_t* out_p = op + (ni * cout + co0) * od * plane + oz * plane;
         for (index_t oy = 0; oy < oh; ++oy) {
-          for (index_t ox = 0; ox < ow; ++ox) {
-            real_t acc = bias_v;
-            for (index_t ci = 0; ci < cin; ++ci) {
-              const real_t* in_c = in_n + ci * d * h * w;
-              const real_t* w_c = w_co + ci * k * k * k;
-              for (index_t kz = 0; kz < k; ++kz) {
-                const index_t iz = oz * p.stride - p.pad + kz;
-                if (iz < 0 || iz >= d) continue;
-                for (index_t ky = 0; ky < k; ++ky) {
-                  const index_t iy = oy * p.stride - p.pad + ky;
-                  if (iy < 0 || iy >= h) continue;
-                  for (index_t kx = 0; kx < k; ++kx) {
-                    const index_t ix = ox * p.stride - p.pad + kx;
-                    if (ix < 0 || ix >= w) continue;
-                    acc += in_c[(iz * h + iy) * w + ix] *
-                           w_c[(kz * k + ky) * k + kx];
-                  }
-                }
-              }
-            }
-            out_p[(oz * oh + oy) * ow + ox] = acc;
-          }
+          kt.conv3d_row4_s1(ip + ni * cin * d * h * w,
+                            wp + co0 * cin * k * k * k, out_p + oy * ow,
+                            od * plane, nco, cin, d, h, w, k, oz, oy,
+                            p.pad, ow, bp + co0);
         }
       },
       /*grain=*/1);

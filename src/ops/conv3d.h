@@ -1,6 +1,7 @@
 // 3-D convolution (NCDHW) — substrate for the 3-D DenseNet classifier
-// and the AH-Net-style segmenter (§2.3). Volumes are modest (the
-// classifier downsamples quickly), so a clear direct kernel is used.
+// (§2.3.2). The forward runs the SIMD quad row kernel
+// (simd::KernelTable::conv3d_row4_s1); the backward kernels are direct
+// scalar loops.
 #pragma once
 
 #include "core/tensor.h"
@@ -15,7 +16,10 @@ struct Conv3dParams {
 };
 
 /// input (N, Cin, D, H, W), weight (Cout, Cin, K, K, K) cubic filters,
-/// bias (Cout) or undefined. Returns (N, Cout, Do, Ho, Wo).
+/// bias (Cout) or undefined. Returns (N, Cout, Do, Ho, Wo). Stride must
+/// be 1 (std::invalid_argument otherwise). Each output sums its taps in
+/// ascending (ci, kz, ky, kx) order, skipping out-of-range ones, so the
+/// bits are the same on every SIMD backend and task-engine width.
 Tensor conv3d(const Tensor& input, const Tensor& weight, const Tensor& bias,
               Conv3dParams p);
 

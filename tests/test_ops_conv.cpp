@@ -4,6 +4,10 @@
 // numerical differentiation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <stdexcept>
+
 #include "autograd/gradcheck.h"
 #include "core/random.h"
 #include "ops/conv2d.h"
@@ -126,6 +130,102 @@ TEST(Conv2d, BackwardBiasSumsGradient) {
 }
 
 // -------------------------------------------------------------- conv3d
+// The direct scalar conv3d loop ops::conv3d ran before it moved onto the
+// SIMD row kernel, kept as the bitwise reference: taps in ascending
+// (ci, kz, ky, kx) order from the bias, out-of-range taps skipped.
+Tensor conv3d_reference(const Tensor& input, const Tensor& weight,
+                        const Tensor& bias, Conv3dParams p) {
+  const index_t n = input.dim(0), cin = input.dim(1), d = input.dim(2),
+                h = input.dim(3), w = input.dim(4);
+  const index_t cout = weight.dim(0), k = weight.dim(2);
+  const index_t od = (d + 2 * p.pad - k) / p.stride + 1;
+  const index_t oh = (h + 2 * p.pad - k) / p.stride + 1;
+  const index_t ow = (w + 2 * p.pad - k) / p.stride + 1;
+  Tensor out({n, cout, od, oh, ow});
+  const real_t* ip = input.data();
+  const real_t* wp = weight.data();
+  const real_t* bp = bias.defined() ? bias.data() : nullptr;
+  real_t* op = out.data();
+  for (index_t ni = 0; ni < n; ++ni) {
+    for (index_t co = 0; co < cout; ++co) {
+      const real_t* in_n = ip + ni * cin * d * h * w;
+      const real_t* w_co = wp + co * cin * k * k * k;
+      real_t* out_p = op + (ni * cout + co) * od * oh * ow;
+      const real_t bias_v = bp ? bp[co] : 0.0f;
+      for (index_t oz = 0; oz < od; ++oz) {
+        for (index_t oy = 0; oy < oh; ++oy) {
+          for (index_t ox = 0; ox < ow; ++ox) {
+            real_t acc = bias_v;
+            for (index_t ci = 0; ci < cin; ++ci) {
+              const real_t* in_c = in_n + ci * d * h * w;
+              const real_t* w_c = w_co + ci * k * k * k;
+              for (index_t kz = 0; kz < k; ++kz) {
+                const index_t iz = oz * p.stride - p.pad + kz;
+                if (iz < 0 || iz >= d) continue;
+                for (index_t ky = 0; ky < k; ++ky) {
+                  const index_t iy = oy * p.stride - p.pad + ky;
+                  if (iy < 0 || iy >= h) continue;
+                  for (index_t kx = 0; kx < k; ++kx) {
+                    const index_t ix = ox * p.stride - p.pad + kx;
+                    if (ix < 0 || ix >= w) continue;
+                    acc += in_c[(iz * h + iy) * w + ix] *
+                           w_c[(kz * k + ky) * k + kx];
+                  }
+                }
+              }
+            }
+            out_p[(oz * oh + oy) * ow + ox] = acc;
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Seeded sweep over k in {1, 3, 5}, pad 0..k/2+1, cout 1..9 (every
+// output-channel quad remainder), n in {1, 2}, with and without bias.
+// Widths up to 40 cross the 16- and 8-column vector interiors and the
+// ragged scalar tails; depth >= k. Compared bit for bit, so it pins the
+// tap order under whichever CCOVID_SIMD backend runs it.
+TEST(Conv3d, MatchesScalarReferenceBitwise) {
+  Rng rng(2024);
+  for (int i = 0; i < 216; ++i) {
+    const index_t k = index_t{1} + 2 * (i % 3);
+    const index_t pad = (i / 3) % (k / 2 + 2);
+    const index_t cout = 1 + i % 9;
+    const index_t n = 1 + (i / 9) % 2;
+    const index_t cin = rng.uniform_int(1, 3);
+    const index_t d = rng.uniform_int(k, k + 2);
+    const index_t h = rng.uniform_int(std::max<index_t>(1, k - 2 * pad),
+                                      k + 2);
+    const index_t w = rng.uniform_int(std::max<index_t>(1, k - 2 * pad), 40);
+    const Tensor input = random_tensor({n, cin, d, h, w}, 100 + i);
+    const Tensor weight = random_tensor({cout, cin, k, k, k}, 400 + i);
+    const Tensor bias =
+        i % 2 ? random_tensor({cout}, 700 + i) : Tensor();
+    const Conv3dParams p{1, pad};
+    const Tensor ref = conv3d_reference(input, weight, bias, p);
+    const Tensor out = conv3d(input, weight, bias, p);
+    ASSERT_EQ(out.shape(), ref.shape());
+    EXPECT_EQ(std::memcmp(out.data(), ref.data(),
+                          static_cast<std::size_t>(ref.numel()) *
+                              sizeof(real_t)),
+              0)
+        << "case " << i << ": n=" << n << " cin=" << cin << " cout=" << cout
+        << " d=" << d << " h=" << h << " w=" << w << " k=" << k
+        << " pad=" << pad << (bias.defined() ? " bias" : " no bias");
+  }
+}
+
+TEST(Conv3d, RejectsStrideOtherThanOne) {
+  const Tensor input = random_tensor({1, 1, 4, 4, 4}, 16);
+  const Tensor weight = random_tensor({1, 1, 3, 3, 3}, 17);
+  EXPECT_THROW(conv3d(input, weight, Tensor(), Conv3dParams{2, 1}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(conv3d(input, weight, Tensor(), Conv3dParams{1, 1}));
+}
+
 TEST(Conv3d, IdentityPointwise) {
   const Tensor input = random_tensor({1, 1, 3, 4, 5}, 9);
   Tensor weight({1, 1, 1, 1, 1});

@@ -292,6 +292,23 @@ TEST(SimdKernels, Deconv2dGatherBackendInvariant) {
       "deconv2d gather");
 }
 
+TEST(SimdKernels, Conv3dBackendInvariant) {
+  // 37 columns: two 16-wide blocks, then scalar border and tail; the
+  // 1x1x1 case at 12 columns runs one 8-wide block. Six output
+  // channels leave a two-channel quad remainder.
+  const Tensor x = random_tensor({2, 3, 5, 6, 37}, 21);
+  const Tensor w = random_tensor({6, 3, 3, 3, 3}, 22);
+  const Tensor b = random_tensor({6}, 23);
+  expect_backend_invariant(
+      [&] { return ops::conv3d(x, w, b, ops::Conv3dParams::same(3)); },
+      "conv3d");
+  const Tensor x1 = random_tensor({1, 5, 3, 4, 12}, 24);
+  const Tensor w1 = random_tensor({3, 5, 1, 1, 1}, 25);
+  expect_backend_invariant(
+      [&] { return ops::conv3d(x1, w1, Tensor(), ops::Conv3dParams{1, 0}); },
+      "conv3d 1x1x1");
+}
+
 TEST(SimdKernels, MatmulBackendInvariant) {
   // 13x37x29 exercises the 4x8 micro tile plus both edge kernels.
   const Tensor a = random_tensor({13, 37}, 7);
