@@ -293,15 +293,20 @@ class GlobalWidth {
   int prev_;
 };
 
-TEST(Golden, DdpStepGradientSync) {
+// Seeded (noisy input, clean target) pair of one extent x extent image.
+void ddp_pair(index_t extent, Tensor* input, Tensor* target) {
   Rng rng(103);
-  Tensor target({1, 1, 12, 12});
-  rng.fill_uniform(target, 0.2, 0.8);
-  Tensor input = target.clone();
-  for (index_t j = 0; j < input.numel(); ++j) {
-    input.data()[j] += static_cast<real_t>(rng.gaussian(0, 0.1));
+  *target = Tensor({1, 1, extent, extent});
+  rng.fill_uniform(*target, 0.2, 0.8);
+  *input = target->clone();
+  for (index_t j = 0; j < input->numel(); ++j) {
+    input->data()[j] += static_cast<real_t>(rng.gaussian(0, 0.1));
   }
+}
 
+// Runs the step over every collective, bucket size, overlap mode and
+// width, asserts the whole grid lands on one digest, and returns it.
+std::uint64_t ddp_sweep_digest(const Tensor& input, const Tensor& target) {
   const dist::Collective kColls[] = {dist::Collective::kRing,
                                      dist::Collective::kTree,
                                      dist::Collective::kBcastHalving};
@@ -337,7 +342,23 @@ TEST(Golden, DdpStepGradientSync) {
                          input, target),
          "sequential-reduction cell");
   }
-  check_golden("ddp_step_tiny_w2_mse12", ref);
+  return ref;
+}
+
+TEST(Golden, DdpStepGradientSync) {
+  Tensor input, target;
+  ddp_pair(12, &input, &target);
+  check_golden("ddp_step_tiny_w2_mse12", ddp_sweep_digest(input, target));
+}
+
+// The same step on 40x40 images. At 12x12 each gradient row holds one
+// 8-wide block at most; 40, 20 and 10 pixel rows also run 16-wide
+// interiors, scalar borders and ragged tails in the conv/deconv input
+// gradients, and many-row sweeps in the weight gradients.
+TEST(Golden, DdpStepWide) {
+  Tensor input, target;
+  ddp_pair(40, &input, &target);
+  check_golden("ddp_step_tiny_w2_mse40", ddp_sweep_digest(input, target));
 }
 
 TEST(Golden, FbpReconstruction) {
