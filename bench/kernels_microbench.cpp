@@ -5,18 +5,21 @@
 //
 // Thread-scaling sweep: `kernels_microbench --scaling-json OUT.json`
 // skips google-benchmark and instead times the hot inference kernels
-// (plus full DDnet and 3-D DenseNet forwards) at 1/2/4/8 task-engine
-// lanes, writing a machine-readable {op, threads, ns_per_iter} table.
+// (plus full DDnet and 3-D DenseNet forwards, and one DDnet training
+// sample's forward + backward) at 1/2/4/8 task-engine lanes, writing a
+// machine-readable {op, threads, ns_per_iter} table.
 // CI and EXPERIMENTS.md track that file (BENCH_kernels.json) across PRs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "autograd/losses.h"
 #include "core/parallel.h"
 #include "core/precision.h"
 #include "core/random.h"
@@ -73,6 +76,29 @@ struct Conv3dStem {
     }
     return taps;
   }
+};
+
+// One DDnet training sample: the autograd forward, the MSE loss and the
+// backward through every conv/deconv gradient kernel. Parameter
+// gradients are cleared after each pass so none accumulates.
+struct DdnetBackward {
+  DdnetBackward(const nn::DDnetConfig& cfg, index_t px)
+      : x(random_tensor({1, 1, px, px}, 34)),
+        y(random_tensor({1, 1, px, px}, 35)) {
+    nn::seed_init_rng(7);
+    net = std::make_unique<nn::DDnet>(cfg);
+    net->set_training(true);
+  }
+
+  void run() const {
+    autograd::Var loss =
+        autograd::mse_loss(net->forward(autograd::Var(x.clone())), y);
+    loss.backward();
+    for (autograd::Var& p : net->parameters()) p.zero_grad();
+  }
+
+  std::unique_ptr<nn::DDnet> net;
+  Tensor x, y;
 };
 
 void BM_Conv2d(benchmark::State& state, ops::KernelOptions opt) {
@@ -391,6 +417,19 @@ int run_scaling_sweep(const std::string& path, bool trace_on) {
     }
   }
 
+  // Training: one DDnet sample's forward and backward. Timed after every
+  // other row: its autograd tape churns the tensor pool.
+  {
+    const DdnetBackward step(ddnet_cfg, ddnet_px);
+    for (const int t : widths) {
+      ParallelPin pin(t);
+      rows.push_back({"ddnet_backward_128", t,
+                      time_ns_per_iter([&] { step.run(); })});
+      std::printf("ddnet_backward_128 @%d: %.1f ms\n", t,
+                  rows.back().ns_per_iter / 1e6);
+    }
+  }
+
   std::string trace_json;
   if (trace_on) {
     const trace::Snapshot snap = trace::snapshot();
@@ -618,6 +657,14 @@ void BM_DenseNet3dForward(benchmark::State& state) {
   }
 }
 
+void BM_DdnetBackward(benchmark::State& state) {
+  index_t px = 0;
+  const nn::DDnetConfig cfg = bench::bench_inference_config(false, &px);
+  const DdnetBackward step(cfg, px);
+  ParallelPin pin(static_cast<int>(state.range(0)));
+  for (auto _ : state) step.run();
+}
+
 }  // namespace
 
 BENCHMARK_CAPTURE(BM_Conv2d, baseline, ops::KernelOptions::baseline())
@@ -648,6 +695,7 @@ BENCHMARK(BM_SgemmThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_Conv2dThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_Conv3dStem)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_DenseNet3dForward)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_DdnetBackward)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK_CAPTURE(BM_SgemmSimd, scalar, simd::Backend::kScalar);
 BENCHMARK_CAPTURE(BM_SgemmSimd, sse2, simd::Backend::kSse2);
 BENCHMARK_CAPTURE(BM_SgemmSimd, avx2, simd::Backend::kAvx2);

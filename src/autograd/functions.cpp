@@ -29,7 +29,7 @@ Var conv2d(const Var& x, const Var& w, const Var& b, ops::Conv2dParams p,
         accumulate_grad(w, ops::conv2d_backward_weight(g, x.value(), k, p));
       }
       if (b.defined() && b.requires_grad()) {
-        accumulate_grad(b, ops::conv2d_backward_bias(g));
+        accumulate_grad(b, ops::channel_sum(g));
       }
     });
   }
@@ -50,7 +50,7 @@ Var deconv2d(const Var& x, const Var& w, const Var& b, ops::Deconv2dParams p,
         accumulate_grad(w, ops::deconv2d_backward_weight(g, x.value(), k, p));
       }
       if (b.defined() && b.requires_grad()) {
-        accumulate_grad(b, ops::deconv2d_backward_bias(g));
+        accumulate_grad(b, ops::channel_sum(g));
       }
     });
   }
@@ -73,7 +73,7 @@ Var conv3d(const Var& x, const Var& w, const Var& b, ops::Conv3dParams p) {
         accumulate_grad(w, ops::conv3d_backward_weight(g, x.value(), k, p));
       }
       if (b.defined() && b.requires_grad()) {
-        accumulate_grad(b, ops::conv3d_backward_bias(g));
+        accumulate_grad(b, ops::channel_sum(g));
       }
     });
   }

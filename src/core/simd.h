@@ -145,6 +145,43 @@ struct KernelTable {
                            index_t oy, index_t pad, index_t wo,
                            const float* bias);
 
+  /// Input gradient of conv2d and deconv2d: one row y of `nc` (1..4)
+  /// consecutive input-gradient channels,
+  ///   gin[c][y][x] = sum_ky sum_kx sum_j go[j][oy][ox] * w(j, c, ky, kx)
+  /// over the nj channels of grad_out (ho x wo planes, contiguous).
+  /// flip (conv2d's): oy = (y + pad - ky) / stride where it divides
+  /// evenly; otherwise (deconv2d's) oy = y * stride - pad + ky; ox
+  /// alike. w(j, c, ky, kx) = wgt[j*wstride_j + c*wstride_c + ky*k +
+  /// kx] with wgt at channel c0; row c of the output at
+  /// gin + c*gin_cstride. Each output sums from 0.0f in ascending
+  /// (ky, kx, j) order, skipping out-of-range taps, with two-rounding
+  /// madd — the direct scalar loop's order. Stride-1 interior columns
+  /// run 16/8 per pass; borders and stride > 1 run the scalar point.
+  void (*grad_input_row4)(const float* go, index_t nj, index_t ho,
+                          index_t wo, const float* wgt, index_t wstride_j,
+                          index_t wstride_c, float* gin,
+                          index_t gin_cstride, int nc, index_t w,
+                          index_t k, index_t stride, index_t pad,
+                          index_t y, bool flip);
+
+  /// Weight gradient of conv2d and deconv2d for one A plane and `nb`
+  /// (1..4) consecutive B planes:
+  ///   gw[b][ky][kx] = sum_{n,y,x} double(A[y][x]) *
+  ///                   B[b][y*stride - pad + ky][x*stride - pad + kx]
+  /// (conv2d: A = grad_out, B = input; deconv2d: A = input, B =
+  /// grad_out). A planes are (ha x wa), a_nstride apart per batch item;
+  /// B planes (hb x wb), b_cstride apart per channel and b_nstride per
+  /// item. Each tap's double sum runs over (n, y, x) ascending, skipping
+  /// out-of-range taps, and rounds to float once; gw holds nb
+  /// consecutive (k x k) slices. Four consecutive kx taps share one
+  /// 4 x f64 vector; float products are exact in double, so the lanes
+  /// reproduce the scalar sum bit for bit.
+  void (*grad_weight4)(const float* a, index_t a_nstride, index_t ha,
+                       index_t wa, const float* b, index_t b_nstride,
+                       index_t b_cstride, int nb, index_t hb, index_t wb,
+                       index_t n, index_t k, index_t stride, index_t pad,
+                       float* gw);
+
   /// y[i] = scale * x[i] + shift — the batch-norm (+ folded affine)
   /// epilogue.
   void (*scale_shift)(const float* x, float* y, index_t n, float scale,

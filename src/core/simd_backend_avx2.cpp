@@ -155,6 +155,16 @@ struct Avx2V {
     }
     if (i < n) detail::cmul_one(a + 2 * i, b + 2 * i);
   }
+  using d4 = __m256d;
+  static d4 set1_d(double v) { return _mm256_set1_pd(v); }
+  static d4 loadu_d(const double* p) { return _mm256_loadu_pd(p); }
+  static void storeu_d(double* p, d4 x) { _mm256_storeu_pd(p, x); }
+  static d4 widen4(const float* p) {
+    return _mm256_cvtps_pd(_mm_loadu_ps(p));
+  }
+  static d4 madd_d(d4 acc, d4 a, d4 b) {
+    return _mm256_add_pd(acc, _mm256_mul_pd(a, b));
+  }
 };
 
 #if defined(__FMA__)

@@ -112,6 +112,24 @@ struct ScalarV {
   static void cmul(double* a, const double* b, index_t n) {
     for (index_t i = 0; i < n; ++i) detail::cmul_one(a + 2 * i, b + 2 * i);
   }
+  struct d4 {
+    double l[4];
+  };
+  static d4 set1_d(double v) { return d4{{v, v, v, v}}; }
+  static d4 loadu_d(const double* p) { return d4{{p[0], p[1], p[2], p[3]}}; }
+  static void storeu_d(double* p, d4 x) {
+    for (int j = 0; j < 4; ++j) p[j] = x.l[j];
+  }
+  static d4 widen4(const float* p) {
+    d4 r;
+    for (int j = 0; j < 4; ++j) r.l[j] = static_cast<double>(p[j]);
+    return r;
+  }
+  static d4 madd_d(d4 acc, d4 a, d4 b) {
+    d4 r;
+    for (int j = 0; j < 4; ++j) r.l[j] = acc.l[j] + a.l[j] * b.l[j];
+    return r;
+  }
 };
 
 }  // namespace

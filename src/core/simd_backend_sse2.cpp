@@ -118,6 +118,26 @@ struct Sse2V {
       _mm_storeu_pd(a + 2 * i, _mm_add_pd(t1, t2));
     }
   }
+  // 4 x f64 as two __m128d halves (lanes 0-1 in lo, 2-3 in hi).
+  struct d4 {
+    __m128d lo, hi;
+  };
+  static d4 set1_d(double v) { return {_mm_set1_pd(v), _mm_set1_pd(v)}; }
+  static d4 loadu_d(const double* p) {
+    return {_mm_loadu_pd(p), _mm_loadu_pd(p + 2)};
+  }
+  static void storeu_d(double* p, d4 x) {
+    _mm_storeu_pd(p, x.lo);
+    _mm_storeu_pd(p + 2, x.hi);
+  }
+  static d4 widen4(const float* p) {
+    const __m128 x = _mm_loadu_ps(p);
+    return {_mm_cvtps_pd(x), _mm_cvtps_pd(_mm_movehl_ps(x, x))};
+  }
+  static d4 madd_d(d4 acc, d4 a, d4 b) {
+    return {_mm_add_pd(acc.lo, _mm_mul_pd(a.lo, b.lo)),
+            _mm_add_pd(acc.hi, _mm_mul_pd(a.hi, b.hi))};
+  }
 };
 
 }  // namespace

@@ -14,6 +14,12 @@
 //   float reduce_add(v8);                 // canonical fixed tree
 //   void  cmul(double* a, const double* b, index_t n);  // complex a*=b
 //
+//   using d4 = ...;                       // 4 x f64 value type
+//   d4    set1_d(double);  d4 loadu_d(const double*);
+//   void  storeu_d(double*, d4);
+//   d4    widen4(const float*);           // 4 floats, widened exactly
+//   d4    madd_d(d4 acc, d4 a, d4 b);     // acc + a*b, TWO roundings
+//
 // Lane determinism: per-output lanes accumulate in scalar order (rule 1
 // of the contract in core/simd.h), and the border/tail scalar paths
 // below are shared source, so every backend runs the identical
@@ -23,6 +29,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "core/half.h"
 #include "core/simd.h"
@@ -161,6 +168,67 @@ inline void deconv_point_q(const float* in, const float* wgt,
   if (NCO > 1) out[ostride_co + ox] = a1;
   if (NCO > 2) out[2 * ostride_co + ox] = a2;
   if (NCO > 3) out[3 * ostride_co + ox] = a3;
+}
+
+// ----- conv2d / deconv2d gradients ----------------------------------
+//
+// Both input gradients are one gather over grad_out (j = its channel):
+//   gin[c][y][x] = sum_ky sum_kx sum_j go[j][oy][ox] * w(j, c, ky, kx)
+// FLIP (conv2d's): oy = (y + pad - ky) / stride where that divides
+// evenly; otherwise (deconv2d's) oy = y * stride - pad + ky; ox alike.
+// Out-of-range taps are skipped. The weight strides per j and per c
+// carry the two weight layouts.
+
+// Coordinate tap `kt` of gradient position `y` reads, or -1 when the
+// tap is skipped.
+template <bool FLIP>
+inline index_t grad_tap(index_t y, index_t kt, index_t stride, index_t pad,
+                        index_t extent) {
+  if (FLIP) {
+    const index_t num = y + pad - kt;
+    if (num < 0 || num % stride != 0) return -1;
+    const index_t o = num / stride;
+    return o < extent ? o : -1;
+  }
+  const index_t o = y * stride - pad + kt;
+  return o >= 0 && o < extent ? o : -1;
+}
+
+// One input-gradient pixel (y, x) for NC consecutive channels: the
+// per-pixel body of the direct scalar loops, each grad_out load shared
+// by NC accumulators. Per channel the sum starts at 0.0f and runs the
+// taps in ascending (ky, kx, j) order — border columns, stride > 1 and
+// the vector lanes all follow it.
+template <bool FLIP, int NC>
+inline void grad_input_point_q(const float* go, index_t nj, index_t ho,
+                               index_t wo, const float* wgt,
+                               index_t wstride_j, index_t wstride_c,
+                               float* gin, index_t gin_cstride, index_t k,
+                               index_t stride, index_t pad, index_t y,
+                               index_t x) {
+  float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
+  for (index_t ky = 0; ky < k; ++ky) {
+    const index_t oy = grad_tap<FLIP>(y, ky, stride, pad, ho);
+    if (oy < 0) continue;
+    for (index_t kx = 0; kx < k; ++kx) {
+      const index_t ox = grad_tap<FLIP>(x, kx, stride, pad, wo);
+      if (ox < 0) continue;
+      const float* g = go + oy * wo + ox;
+      const float* wp = wgt + ky * k + kx;
+      for (index_t j = 0; j < nj; ++j) {
+        const float v = g[j * ho * wo];
+        const float* wj = wp + j * wstride_j;
+        a0 += v * wj[0];
+        if (NC > 1) a1 += v * wj[wstride_c];
+        if (NC > 2) a2 += v * wj[2 * wstride_c];
+        if (NC > 3) a3 += v * wj[3 * wstride_c];
+      }
+    }
+  }
+  gin[x] = a0;
+  if (NC > 1) gin[gin_cstride + x] = a1;
+  if (NC > 2) gin[2 * gin_cstride + x] = a2;
+  if (NC > 3) gin[3 * gin_cstride + x] = a3;
 }
 
 // ----- low-precision shared scalar machinery ------------------------
@@ -517,6 +585,7 @@ inline void lowp_deconv_point_q(const typename S::elem* in,
 template <class V>
 struct Kernels {
   using v8 = typename V::v8;
+  using d4 = typename V::d4;
 
   static void sgemm_micro_4x8(const float* CCOVID_RESTRICT a, index_t lda,
                               const float* CCOVID_RESTRICT bpack,
@@ -984,6 +1053,313 @@ struct Kernels {
                  ostride_co, cin, h, w, k, oy, pad, wo, bias); break;
       default: deconv2d_rowq_k<4>(in, wgt, wstride_ci, wstride_co, out,
                  ostride_co, cin, h, w, k, oy, pad, wo, bias); break;
+    }
+  }
+
+  // ----- conv2d / deconv2d gradients --------------------------------
+
+  // Input gradient, one row y for NC channels (see grad_input_point_q).
+  // At stride 1 a column is interior when every kx tap is in range;
+  // interior columns run 16 then 8 lanes per pass, each lane replaying
+  // the point's (ky, kx, j) tap order, and every other column — and
+  // every column at stride > 1 — runs the point itself.
+  template <bool FLIP, int NC>
+  static void grad_input_rowq(const float* CCOVID_RESTRICT go, index_t nj,
+                              index_t ho, index_t wo,
+                              const float* CCOVID_RESTRICT wgt,
+                              index_t wstride_j, index_t wstride_c,
+                              float* CCOVID_RESTRICT gin,
+                              index_t gin_cstride, index_t w, index_t k,
+                              index_t stride, index_t pad, index_t y) {
+    index_t x = 0;
+    if (stride == 1) {
+      // FLIP: oy = y + pad - ky, ox = x + pad - kx; else y - pad + ky.
+      const index_t ky0 = FLIP ? std::max<index_t>(0, y + pad - ho + 1)
+                               : std::max<index_t>(0, pad - y);
+      const index_t ky1 = FLIP ? std::min<index_t>(k, y + pad + 1)
+                               : std::min<index_t>(k, ho + pad - y);
+      const index_t xlo = std::min<index_t>(
+          FLIP ? std::max<index_t>(0, k - 1 - pad) : pad, w);
+      const index_t xhi = std::max(
+          xlo, std::min<index_t>(w, FLIP ? wo - pad : wo - k + pad + 1));
+      const index_t plane = ho * wo;
+      const index_t dx = FLIP ? -1 : 1;
+      for (; x < xlo; ++x) {
+        grad_input_point_q<FLIP, NC>(go, nj, ho, wo, wgt, wstride_j,
+                                     wstride_c, gin, gin_cstride, k, stride,
+                                     pad, y, x);
+      }
+      for (; x + 16 <= xhi; x += 16) {
+        v8 a0 = V::zero(), b0 = a0, a1 = a0, b1 = a0, a2 = a0, b2 = a0,
+           a3 = a0, b3 = a0;
+        for (index_t ky = ky0; ky < ky1; ++ky) {
+          const index_t oy = FLIP ? y + pad - ky : y - pad + ky;
+          const float* grow = go + oy * wo + (FLIP ? x + pad : x - pad);
+          for (index_t kx = 0; kx < k; ++kx) {
+            const float* g = grow + dx * kx;
+            const float* wp = wgt + ky * k + kx;
+            for (index_t j = 0; j < nj; ++j) {
+              const v8 v = V::loadu(g + j * plane);
+              const v8 u = V::loadu(g + j * plane + 8);
+              const float* wj = wp + j * wstride_j;
+              const v8 w0 = V::set1(wj[0]);
+              a0 = V::madd(a0, v, w0);
+              b0 = V::madd(b0, u, w0);
+              if (NC > 1) {
+                const v8 w1 = V::set1(wj[wstride_c]);
+                a1 = V::madd(a1, v, w1);
+                b1 = V::madd(b1, u, w1);
+              }
+              if (NC > 2) {
+                const v8 w2 = V::set1(wj[2 * wstride_c]);
+                a2 = V::madd(a2, v, w2);
+                b2 = V::madd(b2, u, w2);
+              }
+              if (NC > 3) {
+                const v8 w3 = V::set1(wj[3 * wstride_c]);
+                a3 = V::madd(a3, v, w3);
+                b3 = V::madd(b3, u, w3);
+              }
+            }
+          }
+        }
+        V::storeu(gin + x, a0);
+        V::storeu(gin + x + 8, b0);
+        if (NC > 1) {
+          V::storeu(gin + gin_cstride + x, a1);
+          V::storeu(gin + gin_cstride + x + 8, b1);
+        }
+        if (NC > 2) {
+          V::storeu(gin + 2 * gin_cstride + x, a2);
+          V::storeu(gin + 2 * gin_cstride + x + 8, b2);
+        }
+        if (NC > 3) {
+          V::storeu(gin + 3 * gin_cstride + x, a3);
+          V::storeu(gin + 3 * gin_cstride + x + 8, b3);
+        }
+      }
+      for (; x + 8 <= xhi; x += 8) {
+        v8 a0 = V::zero(), a1 = a0, a2 = a0, a3 = a0;
+        for (index_t ky = ky0; ky < ky1; ++ky) {
+          const index_t oy = FLIP ? y + pad - ky : y - pad + ky;
+          const float* grow = go + oy * wo + (FLIP ? x + pad : x - pad);
+          for (index_t kx = 0; kx < k; ++kx) {
+            const float* g = grow + dx * kx;
+            const float* wp = wgt + ky * k + kx;
+            for (index_t j = 0; j < nj; ++j) {
+              const v8 v = V::loadu(g + j * plane);
+              const float* wj = wp + j * wstride_j;
+              a0 = V::madd(a0, v, V::set1(wj[0]));
+              if (NC > 1) a1 = V::madd(a1, v, V::set1(wj[wstride_c]));
+              if (NC > 2) a2 = V::madd(a2, v, V::set1(wj[2 * wstride_c]));
+              if (NC > 3) a3 = V::madd(a3, v, V::set1(wj[3 * wstride_c]));
+            }
+          }
+        }
+        V::storeu(gin + x, a0);
+        if (NC > 1) V::storeu(gin + gin_cstride + x, a1);
+        if (NC > 2) V::storeu(gin + 2 * gin_cstride + x, a2);
+        if (NC > 3) V::storeu(gin + 3 * gin_cstride + x, a3);
+      }
+    }
+    for (; x < w; ++x) {
+      grad_input_point_q<FLIP, NC>(go, nj, ho, wo, wgt, wstride_j,
+                                   wstride_c, gin, gin_cstride, k, stride,
+                                   pad, y, x);
+    }
+  }
+
+  template <bool FLIP>
+  static void grad_input_rowq_n(const float* go, index_t nj, index_t ho,
+                                index_t wo, const float* wgt,
+                                index_t wstride_j, index_t wstride_c,
+                                float* gin, index_t gin_cstride, int nc,
+                                index_t w, index_t k, index_t stride,
+                                index_t pad, index_t y) {
+    switch (nc) {
+      case 1: grad_input_rowq<FLIP, 1>(go, nj, ho, wo, wgt, wstride_j,
+                 wstride_c, gin, gin_cstride, w, k, stride, pad, y); break;
+      case 2: grad_input_rowq<FLIP, 2>(go, nj, ho, wo, wgt, wstride_j,
+                 wstride_c, gin, gin_cstride, w, k, stride, pad, y); break;
+      case 3: grad_input_rowq<FLIP, 3>(go, nj, ho, wo, wgt, wstride_j,
+                 wstride_c, gin, gin_cstride, w, k, stride, pad, y); break;
+      default: grad_input_rowq<FLIP, 4>(go, nj, ho, wo, wgt, wstride_j,
+                 wstride_c, gin, gin_cstride, w, k, stride, pad, y); break;
+    }
+  }
+
+  static void grad_input_row4(const float* go, index_t nj, index_t ho,
+                              index_t wo, const float* wgt,
+                              index_t wstride_j, index_t wstride_c,
+                              float* gin, index_t gin_cstride, int nc,
+                              index_t w, index_t k, index_t stride,
+                              index_t pad, index_t y, bool flip) {
+    if (flip) {
+      grad_input_rowq_n<true>(go, nj, ho, wo, wgt, wstride_j, wstride_c,
+                              gin, gin_cstride, nc, w, k, stride, pad, y);
+    } else {
+      grad_input_rowq_n<false>(go, nj, ho, wo, wgt, wstride_j, wstride_c,
+                               gin, gin_cstride, nc, w, k, stride, pad, y);
+    }
+  }
+
+  // Weight gradient, taps [kx0, kx0 + 4*NG) of filter row ky for NB
+  // planes, fed by one row of A: lane l of group g accumulates tap
+  // kx0 + 4g + l in double at acc[b * acc_bstride + kx0 + 4g + l].
+  // Columns whose every lane reads inside the B row run the f64 lanes;
+  // the rest add their in-range taps one by one. Either way each tap
+  // sees the row's columns in ascending order. Lanes past the last tap
+  // accumulate values nobody reads.
+  template <int NB, int NG>
+  static void grad_weight_taps(const float* CCOVID_RESTRICT arow,
+                               index_t wa, const float* CCOVID_RESTRICT brow,
+                               index_t b_cstride, index_t wb, index_t k,
+                               index_t kx0, index_t stride, index_t pad,
+                               double* CCOVID_RESTRICT acc,
+                               index_t acc_bstride) {
+    const index_t kx1 = std::min<index_t>(k, kx0 + 4 * NG);
+    // Interior: 0 <= x*stride - pad + kx0 and x*stride - pad + kx0 +
+    // 4*NG <= wb.
+    const index_t lo = pad - kx0;
+    const index_t hi = wb + pad - kx0 - 4 * NG;
+    const index_t xlo =
+        std::min<index_t>(wa, lo <= 0 ? 0 : (lo + stride - 1) / stride);
+    const index_t xhi = std::max<index_t>(
+        xlo, std::min<index_t>(wa, hi < 0 ? 0 : hi / stride + 1));
+    auto scalar_cols = [&](index_t x0, index_t x1) {
+      for (index_t x = x0; x < x1; ++x) {
+        const double av = arow[x];
+        const index_t ix0 = x * stride - pad;
+        for (int b = 0; b < NB; ++b) {
+          const float* bp = brow + b * b_cstride;
+          double* ab = acc + b * acc_bstride;
+          for (index_t kx = kx0; kx < kx1; ++kx) {
+            const index_t ix = ix0 + kx;
+            if (ix < 0 || ix >= wb) continue;
+            ab[kx] += av * static_cast<double>(bp[ix]);
+          }
+        }
+      }
+    };
+    scalar_cols(0, xlo);
+    if (xlo < xhi) {
+      double* c = acc + kx0;
+      const index_t bs = acc_bstride;
+      d4 c00 = V::loadu_d(c), c01 = NG > 1 ? V::loadu_d(c + 4) : c00;
+      d4 c10 = c00, c11 = c00, c20 = c00, c21 = c00, c30 = c00, c31 = c00;
+      if (NB > 1) {
+        c10 = V::loadu_d(c + bs);
+        if (NG > 1) c11 = V::loadu_d(c + bs + 4);
+      }
+      if (NB > 2) {
+        c20 = V::loadu_d(c + 2 * bs);
+        if (NG > 1) c21 = V::loadu_d(c + 2 * bs + 4);
+      }
+      if (NB > 3) {
+        c30 = V::loadu_d(c + 3 * bs);
+        if (NG > 1) c31 = V::loadu_d(c + 3 * bs + 4);
+      }
+      for (index_t x = xlo; x < xhi; ++x) {
+        const d4 av = V::set1_d(arow[x]);
+        const float* bx = brow + x * stride - pad + kx0;
+        c00 = V::madd_d(c00, av, V::widen4(bx));
+        if (NG > 1) c01 = V::madd_d(c01, av, V::widen4(bx + 4));
+        if (NB > 1) {
+          c10 = V::madd_d(c10, av, V::widen4(bx + b_cstride));
+          if (NG > 1) c11 = V::madd_d(c11, av, V::widen4(bx + b_cstride + 4));
+        }
+        if (NB > 2) {
+          const float* b2 = bx + 2 * b_cstride;
+          c20 = V::madd_d(c20, av, V::widen4(b2));
+          if (NG > 1) c21 = V::madd_d(c21, av, V::widen4(b2 + 4));
+        }
+        if (NB > 3) {
+          const float* b3 = bx + 3 * b_cstride;
+          c30 = V::madd_d(c30, av, V::widen4(b3));
+          if (NG > 1) c31 = V::madd_d(c31, av, V::widen4(b3 + 4));
+        }
+      }
+      V::storeu_d(c, c00);
+      if (NG > 1) V::storeu_d(c + 4, c01);
+      if (NB > 1) {
+        V::storeu_d(c + bs, c10);
+        if (NG > 1) V::storeu_d(c + bs + 4, c11);
+      }
+      if (NB > 2) {
+        V::storeu_d(c + 2 * bs, c20);
+        if (NG > 1) V::storeu_d(c + 2 * bs + 4, c21);
+      }
+      if (NB > 3) {
+        V::storeu_d(c + 3 * bs, c30);
+        if (NG > 1) V::storeu_d(c + 3 * bs + 4, c31);
+      }
+    }
+    scalar_cols(xhi, wa);
+  }
+
+  // Weight gradient for one A plane and NB consecutive B planes: every
+  // (b, ky, kx) tap's double sum over (n, y, x) ascending, in one sweep
+  // over A's rows. Filter row ky of A row y reads B row y*stride - pad
+  // + ky (skipped when out of range); its taps go in groups of 4 kx
+  // lanes, at most two groups per B-row pass.
+  template <int NB>
+  static void grad_weight_q(const float* a, index_t a_nstride, index_t ha,
+                            index_t wa, const float* b, index_t b_nstride,
+                            index_t b_cstride, index_t hb, index_t wb,
+                            index_t n, index_t k, index_t stride,
+                            index_t pad, float* gw) {
+    const index_t groups = (k + 3) / 4;
+    const index_t kxp = 4 * groups;  // padded accumulator row
+    const index_t acc_bstride = k * kxp;
+    std::vector<double> acc(static_cast<std::size_t>(NB * acc_bstride),
+                            0.0);
+    for (index_t ni = 0; ni < n; ++ni) {
+      const float* an = a + ni * a_nstride;
+      const float* bn = b + ni * b_nstride;
+      for (index_t y = 0; y < ha; ++y) {
+        const float* arow = an + y * wa;
+        for (index_t ky = 0; ky < k; ++ky) {
+          const index_t row = y * stride - pad + ky;
+          if (row < 0 || row >= hb) continue;
+          const float* brow = bn + row * wb;
+          double* ak = acc.data() + ky * kxp;
+          for (index_t g = 0; g < groups; g += 2) {
+            if (groups - g >= 2) {
+              grad_weight_taps<NB, 2>(arow, wa, brow, b_cstride, wb, k,
+                                      4 * g, stride, pad, ak, acc_bstride);
+            } else {
+              grad_weight_taps<NB, 1>(arow, wa, brow, b_cstride, wb, k,
+                                      4 * g, stride, pad, ak, acc_bstride);
+            }
+          }
+        }
+      }
+    }
+    for (int bi = 0; bi < NB; ++bi) {
+      for (index_t ky = 0; ky < k; ++ky) {
+        for (index_t kx = 0; kx < k; ++kx) {
+          gw[(bi * k + ky) * k + kx] = static_cast<float>(
+              acc[static_cast<std::size_t>(bi * acc_bstride + ky * kxp +
+                                           kx)]);
+        }
+      }
+    }
+  }
+
+  static void grad_weight4(const float* a, index_t a_nstride, index_t ha,
+                           index_t wa, const float* b, index_t b_nstride,
+                           index_t b_cstride, int nb, index_t hb,
+                           index_t wb, index_t n, index_t k, index_t stride,
+                           index_t pad, float* gw) {
+    switch (nb) {
+      case 1: grad_weight_q<1>(a, a_nstride, ha, wa, b, b_nstride,
+                 b_cstride, hb, wb, n, k, stride, pad, gw); break;
+      case 2: grad_weight_q<2>(a, a_nstride, ha, wa, b, b_nstride,
+                 b_cstride, hb, wb, n, k, stride, pad, gw); break;
+      case 3: grad_weight_q<3>(a, a_nstride, ha, wa, b, b_nstride,
+                 b_cstride, hb, wb, n, k, stride, pad, gw); break;
+      default: grad_weight_q<4>(a, a_nstride, ha, wa, b, b_nstride,
+                 b_cstride, hb, wb, n, k, stride, pad, gw); break;
     }
   }
 
@@ -1956,6 +2332,8 @@ KernelTable make_table(const char* name) {
   t.conv2d_row4_s1 = &Kernels<V>::conv2d_row4_s1;
   t.conv3d_row4_s1 = &Kernels<V>::conv3d_row4_s1;
   t.deconv2d_row4_s1 = &Kernels<V>::deconv2d_row4_s1;
+  t.grad_input_row4 = &Kernels<V>::grad_input_row4;
+  t.grad_weight4 = &Kernels<V>::grad_weight4;
   t.scale_shift = &Kernels<V>::scale_shift;
   t.scale_shift_act = &Kernels<V>::scale_shift_act;
   t.relu = &Kernels<V>::relu;

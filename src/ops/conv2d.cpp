@@ -1,5 +1,6 @@
 #include "ops/conv2d.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/parallel.h"
@@ -242,107 +243,99 @@ Tensor conv2d_reference(const Tensor& input, const Tensor& weight,
   return out;
 }
 
-Tensor conv2d_backward_input(const Tensor& grad_out, const Tensor& weight,
-                             index_t input_h, index_t input_w,
-                             Conv2dParams p) {
-  const index_t n = grad_out.dim(0), cout = grad_out.dim(1),
-                ho = grad_out.dim(2), wo = grad_out.dim(3);
-  const index_t cin = weight.dim(1), k = weight.dim(2);
-  Tensor gin({n, cin, input_h, input_w});
-  const real_t* gp = grad_out.data();
-  const real_t* wp = weight.data();
-  real_t* op = gin.data();
+namespace detail {
 
-  // Gather form: each input pixel collects contributions from every
-  // output position whose receptive field covers it — race-free under
-  // (n, ci) parallelism.
+void grad_input_gather(const Tensor& grad_out, const real_t* wgt,
+                       index_t wstride_j, index_t wstride_c, bool flip,
+                       index_t k, index_t stride, index_t pad, Tensor& gin) {
+  const index_t n = gin.dim(0), nc = gin.dim(1), h = gin.dim(2),
+                w = gin.dim(3);
+  const index_t nj = grad_out.dim(1), ho = grad_out.dim(2),
+                wo = grad_out.dim(3);
+  const index_t quads = (nc + 3) / 4;
+  const index_t bands = (h + 15) / 16;
+  const real_t* gp = grad_out.data();
+  real_t* op = gin.data();
+  const simd::KernelTable& kt = simd::kernels();
+  // Race-free: a job owns rows [16*band, 16*band + 16) of one channel
+  // quad of one batch item.
   parallel_for(
-      0, n * cin,
+      0, n * quads * bands,
       [&](index_t job) {
-        const index_t ni = job / cin;
-        const index_t ci = job % cin;
-        real_t* g = op + (ni * cin + ci) * input_h * input_w;
-        const real_t* go_n = gp + ni * cout * ho * wo;
-        for (index_t iy = 0; iy < input_h; ++iy) {
-          for (index_t ix = 0; ix < input_w; ++ix) {
-            real_t acc = 0.0f;
-            for (index_t ky = 0; ky < k; ++ky) {
-              const index_t oy_num = iy + p.pad - ky;
-              if (oy_num < 0 || oy_num % p.stride != 0) continue;
-              const index_t oy = oy_num / p.stride;
-              if (oy >= ho) continue;
-              for (index_t kx = 0; kx < k; ++kx) {
-                const index_t ox_num = ix + p.pad - kx;
-                if (ox_num < 0 || ox_num % p.stride != 0) continue;
-                const index_t ox = ox_num / p.stride;
-                if (ox >= wo) continue;
-                for (index_t co = 0; co < cout; ++co) {
-                  acc += go_n[(co * ho + oy) * wo + ox] *
-                         wp[((co * cin + ci) * k + ky) * k + kx];
-                }
-              }
-            }
-            g[iy * input_w + ix] = acc;
-          }
+        const index_t band = job % bands;
+        const index_t q = (job / bands) % quads;
+        const index_t ni = job / (bands * quads);
+        const index_t c0 = 4 * q;
+        const int ncq = static_cast<int>(std::min<index_t>(4, nc - c0));
+        const real_t* go_n = gp + ni * nj * ho * wo;
+        real_t* g = op + (ni * nc + c0) * h * w;
+        const index_t y1 = std::min(h, 16 * band + 16);
+        for (index_t y = 16 * band; y < y1; ++y) {
+          kt.grad_input_row4(go_n, nj, ho, wo, wgt + c0 * wstride_c,
+                             wstride_j, wstride_c, g + y * w, h * w, ncq, w,
+                             k, stride, pad, y, flip);
         }
       },
       /*grain=*/1);
+}
+
+void grad_weight_sweep(const Tensor& a, const Tensor& b, index_t k,
+                       index_t stride, index_t pad, Tensor& gw) {
+  const index_t n = a.dim(0), na = a.dim(1), ha = a.dim(2), wa = a.dim(3);
+  const index_t nb = b.dim(1), hb = b.dim(2), wb = b.dim(3);
+  const index_t quads = (nb + 3) / 4;
+  const real_t* ap = a.data();
+  const real_t* bp = b.data();
+  real_t* gp = gw.data();
+  const simd::KernelTable& kt = simd::kernels();
+  parallel_for(
+      0, na * quads,
+      [&](index_t job) {
+        const index_t ai = job / quads;
+        const index_t b0 = 4 * (job % quads);
+        const int nbq = static_cast<int>(std::min<index_t>(4, nb - b0));
+        kt.grad_weight4(ap + ai * ha * wa, na * ha * wa, ha, wa,
+                        bp + b0 * hb * wb, nb * hb * wb, hb * wb, nbq, hb,
+                        wb, n, k, stride, pad, gp + (ai * nb + b0) * k * k);
+      },
+      /*grain=*/1);
+}
+
+}  // namespace detail
+
+Tensor conv2d_backward_input(const Tensor& grad_out, const Tensor& weight,
+                             index_t input_h, index_t input_w,
+                             Conv2dParams p) {
+  TRACE_SPAN("ops.conv2d.grad_input");
+  const index_t cin = weight.dim(1), k = weight.dim(2);
+  Tensor gin({grad_out.dim(0), cin, input_h, input_w});
+  // weight (Cout, Cin, K, K): j = co, c = ci.
+  detail::grad_input_gather(grad_out, weight.data(), cin * k * k, k * k,
+                            /*flip=*/true, k, p.stride, p.pad, gin);
   return gin;
 }
 
 Tensor conv2d_backward_weight(const Tensor& grad_out, const Tensor& input,
                               index_t ksize, Conv2dParams p) {
-  const index_t n = grad_out.dim(0), cout = grad_out.dim(1),
-                ho = grad_out.dim(2), wo = grad_out.dim(3);
-  const index_t cin = input.dim(1), h = input.dim(2), w = input.dim(3);
-  Tensor gw({cout, cin, ksize, ksize});
-  const real_t* gp = grad_out.data();
-  const real_t* ip = input.data();
-  real_t* wp = gw.data();
-
-  parallel_for(
-      0, cout * cin,
-      [&](index_t job) {
-        const index_t co = job / cin;
-        const index_t ci = job % cin;
-        for (index_t ky = 0; ky < ksize; ++ky) {
-          for (index_t kx = 0; kx < ksize; ++kx) {
-            double acc = 0.0;
-            for (index_t ni = 0; ni < n; ++ni) {
-              const real_t* go = gp + (ni * cout + co) * ho * wo;
-              const real_t* in_p = ip + (ni * cin + ci) * h * w;
-              for (index_t oy = 0; oy < ho; ++oy) {
-                const index_t iy = oy * p.stride - p.pad + ky;
-                if (iy < 0 || iy >= h) continue;
-                for (index_t ox = 0; ox < wo; ++ox) {
-                  const index_t ix = ox * p.stride - p.pad + kx;
-                  if (ix < 0 || ix >= w) continue;
-                  acc += static_cast<double>(go[oy * wo + ox]) *
-                         in_p[iy * w + ix];
-                }
-              }
-            }
-            wp[((co * cin + ci) * ksize + ky) * ksize + kx] =
-                static_cast<real_t>(acc);
-          }
-        }
-      },
-      /*grain=*/1);
+  TRACE_SPAN("ops.conv2d.grad_weight");
+  Tensor gw({grad_out.dim(1), input.dim(1), ksize, ksize});
+  detail::grad_weight_sweep(grad_out, input, ksize, p.stride, p.pad, gw);
   return gw;
 }
 
-Tensor conv2d_backward_bias(const Tensor& grad_out) {
-  const index_t n = grad_out.dim(0), cout = grad_out.dim(1),
-                hw = grad_out.dim(2) * grad_out.dim(3);
-  Tensor gb({cout});
+Tensor channel_sum(const Tensor& grad_out) {
+  const index_t n = grad_out.dim(0), c = grad_out.dim(1);
+  index_t sp = 1;
+  for (int d = 2; d < grad_out.rank(); ++d) sp *= grad_out.dim(d);
+  Tensor gb({c});
   const real_t* gp = grad_out.data();
-  for (index_t co = 0; co < cout; ++co) {
+  for (index_t ci = 0; ci < c; ++ci) {
     double acc = 0.0;
     for (index_t ni = 0; ni < n; ++ni) {
-      const real_t* g = gp + (ni * cout + co) * hw;
-      for (index_t i = 0; i < hw; ++i) acc += g[i];
+      const real_t* g = gp + (ni * c + ci) * sp;
+      for (index_t i = 0; i < sp; ++i) acc += g[i];
     }
-    gb.at(co) = static_cast<real_t>(acc);
+    gb.at(ci) = static_cast<real_t>(acc);
   }
   return gb;
 }

@@ -46,16 +46,38 @@ Tensor conv2d_reference(const Tensor& input, const Tensor& weight,
                         const Tensor& bias, Conv2dParams p);
 
 /// dL/dInput given dL/dOutput. `input_h`, `input_w` disambiguate sizes
-/// lost to striding.
+/// lost to striding. Runs simd::KernelTable::grad_input_row4: each
+/// element sums from 0.0f in ascending (ky, kx, co) tap order, so the
+/// bits are the same on every SIMD backend and task-engine width.
 Tensor conv2d_backward_input(const Tensor& grad_out, const Tensor& weight,
                              index_t input_h, index_t input_w,
                              Conv2dParams p);
 
-/// dL/dWeight.
+/// dL/dWeight. Runs simd::KernelTable::grad_weight4: each tap is a
+/// double sum over (n, oy, ox) ascending, rounded to float once.
 Tensor conv2d_backward_weight(const Tensor& grad_out, const Tensor& input,
                               index_t ksize, Conv2dParams p);
 
-/// dL/dBias: sum of grad_out over (N, H, W) per output channel.
-Tensor conv2d_backward_bias(const Tensor& grad_out);
+/// dL/dBias of conv2d, deconv2d and conv3d alike: grad_out (N, C, ...)
+/// summed in double over every dimension except 1, in (n, spatial)
+/// ascending order, rounded to float once per channel.
+Tensor channel_sum(const Tensor& grad_out);
+
+namespace detail {
+
+/// The conv2d/deconv2d input-gradient gather into `gin` (N, C, H, W),
+/// split over (n, channel quad, 16-row band); see
+/// simd::KernelTable::grad_input_row4 for wgt's strides and `flip`.
+void grad_input_gather(const Tensor& grad_out, const real_t* wgt,
+                       index_t wstride_j, index_t wstride_c, bool flip,
+                       index_t k, index_t stride, index_t pad, Tensor& gin);
+
+/// The conv2d/deconv2d weight-gradient sweep into `gw` (Ca, Cb, K, K),
+/// split over (a channel, b channel quad); see
+/// simd::KernelTable::grad_weight4 for the roles of `a` and `b`.
+void grad_weight_sweep(const Tensor& a, const Tensor& b, index_t k,
+                       index_t stride, index_t pad, Tensor& gw);
+
+}  // namespace detail
 
 }  // namespace ccovid::ops

@@ -188,20 +188,4 @@ Tensor conv3d_backward_weight(const Tensor& grad_out, const Tensor& input,
   return gw;
 }
 
-Tensor conv3d_backward_bias(const Tensor& grad_out) {
-  const index_t n = grad_out.dim(0), cout = grad_out.dim(1),
-                sp = grad_out.dim(2) * grad_out.dim(3) * grad_out.dim(4);
-  Tensor gb({cout});
-  const real_t* gp = grad_out.data();
-  for (index_t co = 0; co < cout; ++co) {
-    double acc = 0.0;
-    for (index_t ni = 0; ni < n; ++ni) {
-      const real_t* g = gp + (ni * cout + co) * sp;
-      for (index_t i = 0; i < sp; ++i) acc += g[i];
-    }
-    gb.at(co) = static_cast<real_t>(acc);
-  }
-  return gb;
-}
-
 }  // namespace ccovid::ops

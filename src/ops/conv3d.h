@@ -28,6 +28,6 @@ Tensor conv3d_backward_input(const Tensor& grad_out, const Tensor& weight,
                              Conv3dParams p);
 Tensor conv3d_backward_weight(const Tensor& grad_out, const Tensor& input,
                               index_t ksize, Conv3dParams p);
-Tensor conv3d_backward_bias(const Tensor& grad_out);
+// The bias gradient is ops::channel_sum (ops/conv2d.h).
 
 }  // namespace ccovid::ops

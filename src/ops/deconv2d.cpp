@@ -4,6 +4,7 @@
 
 #include "core/parallel.h"
 #include "core/simd.h"
+#include "ops/conv2d.h"
 #include "trace/trace.h"
 
 namespace ccovid::ops {
@@ -231,103 +232,27 @@ Tensor deconv2d_reference(const Tensor& input, const Tensor& weight,
 
 Tensor deconv2d_backward_input(const Tensor& grad_out, const Tensor& weight,
                                Deconv2dParams p) {
-  // d(deconv)/d(input): gin[iy,ix] = sum_{co,ky,kx} gout[iy*s - pad + ky]
+  // d(deconv)/d(input): gin[iy,ix] = sum_{ky,kx,co} gout[iy*s - pad + ky]
   // * w[ci,co,ky,kx] — a direct correlation of grad_out with the weights.
-  const index_t n = grad_out.dim(0), cout = grad_out.dim(1),
-                ho = grad_out.dim(2), wo = grad_out.dim(3);
-  const index_t cin = weight.dim(0), k = weight.dim(2);
+  TRACE_SPAN("ops.deconv2d.grad_input");
+  const index_t ho = grad_out.dim(2), wo = grad_out.dim(3);
+  const index_t cin = weight.dim(0), cout = weight.dim(1),
+                k = weight.dim(2);
   const index_t h = (ho + 2 * p.pad - k) / p.stride + 1;
   const index_t w = (wo + 2 * p.pad - k) / p.stride + 1;
-  Tensor gin({n, cin, h, w});
-  const real_t* gp = grad_out.data();
-  const real_t* wp = weight.data();
-  real_t* op = gin.data();
-
-  parallel_for(
-      0, n * cin,
-      [&](index_t job) {
-        const index_t ni = job / cin;
-        const index_t ci = job % cin;
-        real_t* g = op + (ni * cin + ci) * h * w;
-        const real_t* go_n = gp + ni * cout * ho * wo;
-        for (index_t iy = 0; iy < h; ++iy) {
-          for (index_t ix = 0; ix < w; ++ix) {
-            real_t acc = 0.0f;
-            for (index_t ky = 0; ky < k; ++ky) {
-              const index_t oy = iy * p.stride - p.pad + ky;
-              if (oy < 0 || oy >= ho) continue;
-              for (index_t kx = 0; kx < k; ++kx) {
-                const index_t ox = ix * p.stride - p.pad + kx;
-                if (ox < 0 || ox >= wo) continue;
-                for (index_t co = 0; co < cout; ++co) {
-                  acc += go_n[(co * ho + oy) * wo + ox] *
-                         wp[((ci * cout + co) * k + ky) * k + kx];
-                }
-              }
-            }
-            g[iy * w + ix] = acc;
-          }
-        }
-      },
-      /*grain=*/1);
+  Tensor gin({grad_out.dim(0), cin, h, w});
+  // weight (Cin, Cout, K, K): j = co, c = ci.
+  detail::grad_input_gather(grad_out, weight.data(), k * k, cout * k * k,
+                            /*flip=*/false, k, p.stride, p.pad, gin);
   return gin;
 }
 
 Tensor deconv2d_backward_weight(const Tensor& grad_out, const Tensor& input,
                                 index_t ksize, Deconv2dParams p) {
-  const index_t n = grad_out.dim(0), cout = grad_out.dim(1),
-                ho = grad_out.dim(2), wo = grad_out.dim(3);
-  const index_t cin = input.dim(1), h = input.dim(2), w = input.dim(3);
-  Tensor gw({cin, cout, ksize, ksize});
-  const real_t* gp = grad_out.data();
-  const real_t* ip = input.data();
-  real_t* wp = gw.data();
-
-  parallel_for(
-      0, cin * cout,
-      [&](index_t job) {
-        const index_t ci = job / cout;
-        const index_t co = job % cout;
-        for (index_t ky = 0; ky < ksize; ++ky) {
-          for (index_t kx = 0; kx < ksize; ++kx) {
-            double acc = 0.0;
-            for (index_t ni = 0; ni < n; ++ni) {
-              const real_t* go = gp + (ni * cout + co) * ho * wo;
-              const real_t* in_p = ip + (ni * cin + ci) * h * w;
-              for (index_t iy = 0; iy < h; ++iy) {
-                const index_t oy = iy * p.stride - p.pad + ky;
-                if (oy < 0 || oy >= ho) continue;
-                for (index_t ix = 0; ix < w; ++ix) {
-                  const index_t ox = ix * p.stride - p.pad + kx;
-                  if (ox < 0 || ox >= wo) continue;
-                  acc += static_cast<double>(in_p[iy * w + ix]) *
-                         go[oy * wo + ox];
-                }
-              }
-            }
-            wp[((ci * cout + co) * ksize + ky) * ksize + kx] =
-                static_cast<real_t>(acc);
-          }
-        }
-      },
-      /*grain=*/1);
+  TRACE_SPAN("ops.deconv2d.grad_weight");
+  Tensor gw({input.dim(1), grad_out.dim(1), ksize, ksize});
+  detail::grad_weight_sweep(input, grad_out, ksize, p.stride, p.pad, gw);
   return gw;
-}
-
-Tensor deconv2d_backward_bias(const Tensor& grad_out) {
-  const index_t n = grad_out.dim(0), cout = grad_out.dim(1),
-                hw = grad_out.dim(2) * grad_out.dim(3);
-  Tensor gb({cout});
-  const real_t* gp = grad_out.data();
-  for (index_t co = 0; co < cout; ++co) {
-    double acc = 0.0;
-    for (index_t ni = 0; ni < n; ++ni) {
-      const real_t* g = gp + (ni * cout + co) * hw;
-      for (index_t i = 0; i < hw; ++i) acc += g[i];
-    }
-    gb.at(co) = static_cast<real_t>(acc);
-  }
-  return gb;
 }
 
 }  // namespace ccovid::ops

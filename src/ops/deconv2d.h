@@ -46,15 +46,14 @@ Tensor deconv2d_reference(const Tensor& input, const Tensor& weight,
                           const Tensor& bias, Deconv2dParams p);
 
 /// dL/dInput — for a transposed conv this is a plain convolution of
-/// grad_out with the (non-flipped) weights.
+/// grad_out with the (non-flipped) weights. Same kernel and tap order
+/// as conv2d_backward_input (ascending (ky, kx, co)). The bias
+/// gradient is ops::channel_sum (ops/conv2d.h).
 Tensor deconv2d_backward_input(const Tensor& grad_out, const Tensor& weight,
                                Deconv2dParams p);
 
-/// dL/dWeight.
+/// dL/dWeight: each tap a double sum over (n, iy, ix) ascending.
 Tensor deconv2d_backward_weight(const Tensor& grad_out, const Tensor& input,
                                 index_t ksize, Deconv2dParams p);
-
-/// dL/dBias: reduce grad_out over (N, H, W).
-Tensor deconv2d_backward_bias(const Tensor& grad_out);
 
 }  // namespace ccovid::ops

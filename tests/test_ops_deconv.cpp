@@ -5,7 +5,10 @@
 // forward convolution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "autograd/gradcheck.h"
 #include "core/random.h"
@@ -162,9 +165,144 @@ TEST(Deconv2d, BackwardWeightMatchesNumerical) {
 TEST(Deconv2d, BackwardBiasSumsGradient) {
   Tensor gout({1, 2, 3, 3});
   gout.fill(1.0f);
-  const Tensor gb = deconv2d_backward_bias(gout);
+  const Tensor gb = channel_sum(gout);
   EXPECT_FLOAT_EQ(gb.at(0), 9.0f);
   EXPECT_FLOAT_EQ(gb.at(1), 9.0f);
+}
+
+// The direct scalar gradient loops ops::deconv2d_backward_{input,weight}
+// ran before they moved onto the SIMD kernels, kept as the bitwise
+// references. Input gradient: per element, from 0.0f, taps in
+// ascending (ky, kx, co) order with float products and sums. Weight
+// gradient: per tap, a double sum over (n, iy, ix) ascending.
+Tensor deconv2d_backward_input_reference(const Tensor& grad_out,
+                                         const Tensor& weight,
+                                         Deconv2dParams p) {
+  const index_t n = grad_out.dim(0), cout = grad_out.dim(1),
+                ho = grad_out.dim(2), wo = grad_out.dim(3);
+  const index_t cin = weight.dim(0), k = weight.dim(2);
+  const index_t h = (ho + 2 * p.pad - k) / p.stride + 1;
+  const index_t w = (wo + 2 * p.pad - k) / p.stride + 1;
+  Tensor gin({n, cin, h, w});
+  const real_t* gp = grad_out.data();
+  const real_t* wp = weight.data();
+  real_t* op = gin.data();
+  for (index_t ni = 0; ni < n; ++ni) {
+    for (index_t ci = 0; ci < cin; ++ci) {
+      real_t* g = op + (ni * cin + ci) * h * w;
+      const real_t* go_n = gp + ni * cout * ho * wo;
+      for (index_t iy = 0; iy < h; ++iy) {
+        for (index_t ix = 0; ix < w; ++ix) {
+          real_t acc = 0.0f;
+          for (index_t ky = 0; ky < k; ++ky) {
+            const index_t oy = iy * p.stride - p.pad + ky;
+            if (oy < 0 || oy >= ho) continue;
+            for (index_t kx = 0; kx < k; ++kx) {
+              const index_t ox = ix * p.stride - p.pad + kx;
+              if (ox < 0 || ox >= wo) continue;
+              for (index_t co = 0; co < cout; ++co) {
+                acc += go_n[(co * ho + oy) * wo + ox] *
+                       wp[((ci * cout + co) * k + ky) * k + kx];
+              }
+            }
+          }
+          g[iy * w + ix] = acc;
+        }
+      }
+    }
+  }
+  return gin;
+}
+
+Tensor deconv2d_backward_weight_reference(const Tensor& grad_out,
+                                          const Tensor& input, index_t ksize,
+                                          Deconv2dParams p) {
+  const index_t n = grad_out.dim(0), cout = grad_out.dim(1),
+                ho = grad_out.dim(2), wo = grad_out.dim(3);
+  const index_t cin = input.dim(1), h = input.dim(2), w = input.dim(3);
+  Tensor gw({cin, cout, ksize, ksize});
+  const real_t* gp = grad_out.data();
+  const real_t* ip = input.data();
+  real_t* wp = gw.data();
+  for (index_t ci = 0; ci < cin; ++ci) {
+    for (index_t co = 0; co < cout; ++co) {
+      for (index_t ky = 0; ky < ksize; ++ky) {
+        for (index_t kx = 0; kx < ksize; ++kx) {
+          double acc = 0.0;
+          for (index_t ni = 0; ni < n; ++ni) {
+            const real_t* go = gp + (ni * cout + co) * ho * wo;
+            const real_t* in_p = ip + (ni * cin + ci) * h * w;
+            for (index_t iy = 0; iy < h; ++iy) {
+              const index_t oy = iy * p.stride - p.pad + ky;
+              if (oy < 0 || oy >= ho) continue;
+              for (index_t ix = 0; ix < w; ++ix) {
+                const index_t ox = ix * p.stride - p.pad + kx;
+                if (ox < 0 || ox >= wo) continue;
+                acc += static_cast<double>(in_p[iy * w + ix]) *
+                       go[oy * wo + ox];
+              }
+            }
+          }
+          wp[((ci * cout + co) * ksize + ky) * ksize + kx] =
+              static_cast<real_t>(acc);
+        }
+      }
+    }
+  }
+  return gw;
+}
+
+bool bits_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(real_t)) ==
+             0;
+}
+
+// Seeded sweep over k in {1, 3, 5, 7} (then 30 cases of 2, 4 and 9, the
+// even and more-than-two-group filters), pad 0..k/2+1, stride 1..3 (1
+// in 3 of 5 cases, where the vector interiors run), n in {1, 2} and cin 1..9
+// (every input-gradient quad remainder; cout 1..9 at random covers the
+// weight gradient's). Input widths up to 40 cross the 16- and 8-column
+// input-gradient interiors and the scalar borders and ragged tails.
+// Compared bit for bit under whichever CCOVID_SIMD backend runs it.
+TEST(DeconvGrad, MatchesScalarReferenceBitwise) {
+  Rng rng(2026);
+  const index_t kKs[] = {1, 3, 5, 7};
+  const index_t kOtherKs[] = {2, 4, 9};
+  for (int i = 0; i < 270; ++i) {
+    const index_t k = i < 240 ? kKs[i % 4] : kOtherKs[i % 3];
+    const index_t pad = (i / 4) % (k / 2 + 2);
+    const index_t stride = i % 5 < 3 ? 1 : rng.uniform_int(2, 3);
+    const index_t n = 1 + (i / 7) % 2;
+    const index_t cin = 1 + i % 9;
+    const index_t cout = rng.uniform_int(1, 9);
+    // Smallest input extent with a positive output extent.
+    const index_t short_by = std::max<index_t>(0, 2 * pad - k + 1);
+    const index_t lo = 1 + (short_by + stride - 1) / stride;
+    const index_t h = rng.uniform_int(lo, lo + 5);
+    const index_t w = rng.uniform_int(lo, std::max<index_t>(lo, 40 / stride));
+    const Deconv2dParams p{stride, pad};
+    const index_t ho = deconv_out_extent(h, k, stride, pad);
+    const index_t wo = deconv_out_extent(w, k, stride, pad);
+    const Tensor input = random_tensor({n, cin, h, w}, 1000 + i);
+    const Tensor weight = random_tensor({cin, cout, k, k}, 2000 + i);
+    const Tensor gout = random_tensor({n, cout, ho, wo}, 3000 + i);
+    const std::string what =
+        "case " + std::to_string(i) + ": n=" + std::to_string(n) +
+        " cin=" + std::to_string(cin) + " cout=" + std::to_string(cout) +
+        " h=" + std::to_string(h) + " w=" + std::to_string(w) +
+        " k=" + std::to_string(k) + " stride=" + std::to_string(stride) +
+        " pad=" + std::to_string(pad);
+    EXPECT_TRUE(bits_equal(deconv2d_backward_input(gout, weight, p),
+                           deconv2d_backward_input_reference(gout, weight,
+                                                             p)))
+        << "input gradient, " << what;
+    EXPECT_TRUE(bits_equal(deconv2d_backward_weight(gout, input, k, p),
+                           deconv2d_backward_weight_reference(gout, input, k,
+                                                              p)))
+        << "weight gradient, " << what;
+  }
 }
 
 }  // namespace

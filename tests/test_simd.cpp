@@ -309,6 +309,44 @@ TEST(SimdKernels, Conv3dBackendInvariant) {
       "conv3d 1x1x1");
 }
 
+TEST(SimdKernels, ConvGradBackendInvariant) {
+  // 37 columns: two 16-wide input-gradient blocks, one 8-wide, scalar
+  // borders and a ragged tail; 6 channels leave a two-channel quad
+  // remainder on both gradients, and the weight sweep runs one 4-lane
+  // f64 group (3x3) and two (5x5). Stride 2 runs the scalar point and
+  // the strided weight sweep.
+  for (const index_t k : {3, 5}) {
+    for (const index_t stride : {1, 2}) {
+      const index_t pad = k / 2;
+      const ops::Conv2dParams cp{stride, pad};
+      const ops::Deconv2dParams dp{stride, pad};
+      const Tensor x = random_tensor({2, 6, 11, 37}, 30 + k);
+      const Tensor cw = random_tensor({5, 6, k, k}, 31 + k);
+      const Tensor dw = random_tensor({6, 5, k, k}, 32 + k);
+      const Tensor cg = random_tensor(
+          {2, 5, ops::conv_out_extent(11, k, stride, pad),
+           ops::conv_out_extent(37, k, stride, pad)},
+          33 + k);
+      const Tensor dg = random_tensor(
+          {2, 5, ops::deconv_out_extent(11, k, stride, pad),
+           ops::deconv_out_extent(37, k, stride, pad)},
+          34 + k);
+      expect_backend_invariant(
+          [&] { return ops::conv2d_backward_input(cg, cw, 11, 37, cp); },
+          "conv2d grad input");
+      expect_backend_invariant(
+          [&] { return ops::conv2d_backward_weight(cg, x, k, cp); },
+          "conv2d grad weight");
+      expect_backend_invariant(
+          [&] { return ops::deconv2d_backward_input(dg, dw, dp); },
+          "deconv2d grad input");
+      expect_backend_invariant(
+          [&] { return ops::deconv2d_backward_weight(dg, x, k, dp); },
+          "deconv2d grad weight");
+    }
+  }
+}
+
 TEST(SimdKernels, MatmulBackendInvariant) {
   // 13x37x29 exercises the 4x8 micro tile plus both edge kernels.
   const Tensor a = random_tensor({13, 37}, 7);
