@@ -98,6 +98,10 @@ struct BackwardRunState : std::enable_shared_from_this<BackwardRunState> {
   std::exception_ptr error;
   std::atomic<bool> aborted{false};
   std::atomic<std::uint32_t> remaining{0};
+  /// Set (under mu) once on_complete returned; waiters and finished()
+  /// key on this, not on `remaining`, which reaches zero before the
+  /// hook runs.
+  std::atomic<bool> complete{false};
   std::condition_variable done_cv;
 
   void record_error(std::exception_ptr e) {
@@ -176,6 +180,7 @@ struct BackwardRunState : std::enable_shared_from_this<BackwardRunState> {
         }
       }
       std::lock_guard<std::mutex> lock(mu);
+      complete.store(true, std::memory_order_release);
       done_cv.notify_all();
     }
   }
@@ -209,7 +214,7 @@ void BackwardRunState::dispatch_locked() {
     ready.pop_back();
     ++in_flight;
     // The task holds a shared_ptr: a BackwardRun destroyed right after
-    // remaining hit zero must not free state a finishing task still
+    // the run completed must not free state a finishing task still
     // touches (the in_flight bookkeeping below).
     TaskEngine::instance().submit(
         [self = shared_from_this(), idx] { self->run_task(idx); });
@@ -246,7 +251,7 @@ BackwardRun::~BackwardRun() {
   // until the drain finished, but never throw from a destructor.
   std::unique_lock<std::mutex> lock(state_->mu);
   state_->done_cv.wait(lock, [this] {
-    return state_->remaining.load(std::memory_order_acquire) == 0;
+    return state_->complete.load(std::memory_order_acquire);
   });
 }
 
@@ -254,7 +259,7 @@ void BackwardRun::wait() {
   if (!state_) return;
   std::unique_lock<std::mutex> lock(state_->mu);
   state_->done_cv.wait(lock, [this] {
-    return state_->remaining.load(std::memory_order_acquire) == 0;
+    return state_->complete.load(std::memory_order_acquire);
   });
   if (state_->error) {
     std::exception_ptr e = state_->error;
@@ -265,7 +270,7 @@ void BackwardRun::wait() {
 }
 
 bool BackwardRun::finished() const {
-  return !state_ || state_->remaining.load(std::memory_order_acquire) == 0;
+  return !state_ || state_->complete.load(std::memory_order_acquire);
 }
 
 BackwardRun backward_start(const std::shared_ptr<detail::VarImpl>& root,

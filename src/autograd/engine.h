@@ -93,12 +93,12 @@ class BackwardRun {
   BackwardRun& operator=(BackwardRun&&) noexcept = default;
   ~BackwardRun();
 
-  /// Blocks until every node finalized; rethrows the first exception a
-  /// closure raised. Idempotent.
+  /// Blocks until every node finalized and on_complete returned;
+  /// rethrows the first exception a closure raised. Idempotent.
   void wait();
 
   /// True once every node has been finalized (or abandoned after an
-  /// exception) — wait() will not block.
+  /// exception) and on_complete returned — wait() will not block.
   bool finished() const;
 
  private:

@@ -89,37 +89,43 @@ struct KernelTable {
   void (*sgemm_micro_4x8)(const float* a, index_t lda, const float* bpack,
                           float* c, index_t ldc, index_t kc);
 
-  /// One stride-1 conv2d output row (direct form): out[ox] for
-  /// ox in [0, wo), taps in ascending (ci, ky, kx) order per output.
-  /// `wstride` is the float distance between consecutive ci slices of
-  /// the (k x k) filter. Border columns run a scalar path with the
-  /// same tap order; interior columns run 8 outputs per vector.
+  // ----- 2-D forward rows ------------------------------------------
+  //
+  // Every 2-D forward row entry below computes one stride-1 output row
+  // oy in either tap direction, picked by its trailing `deconv` flag:
+  //   conv   (deconv = false): iy = oy - pad + ky, ix = ox - pad + kx;
+  //   deconv (deconv = true):  iy = oy + pad - ky, ix = ox + pad - kx,
+  //          the gather form of the transposed convolution.
+  // Each output sums from its bias over taps in ascending (ci, ky, kx)
+  // order, skipping out-of-range ones. One direction-templated body per
+  // numeric contract serves both directions.
+
+  /// One output row of one output channel. `wstride` is the float
+  /// distance between consecutive ci slices of the (k x k) filter
+  /// (conv's (Cout, Cin, K, K) layout: k*k; deconv's (Cin, Cout, K, K):
+  /// cout*k*k). Border columns run a scalar path with the same tap
+  /// order; interior columns run 8 outputs per vector.
   void (*conv2d_row_s1)(const float* in, const float* wgt, index_t wstride,
                         float* out, index_t cin, index_t h, index_t w,
                         index_t k, index_t oy, index_t pad, index_t wo,
-                        float bias);
+                        float bias, bool deconv);
 
-  /// One stride-1 deconv2d (gather form) output row: iy = oy + pad - ky,
-  /// ix = ox + pad - kx, taps in ascending (ci, ky, kx) order.
-  void (*deconv2d_row_s1)(const float* in, const float* wgt,
-                          index_t wstride, float* out, index_t cin,
-                          index_t h, index_t w, index_t k, index_t oy,
-                          index_t pad, index_t wo, float bias);
-
-  /// Multi-output-channel variant of conv2d_row_s1 for the graph
-  /// executor: one output row for `nco` (1..4) consecutive output
-  /// channels per call. Filter co j lives at wgt + j*wstride_co (ci
-  /// slices wstride_ci apart); its output row at out + j*ostride_co;
-  /// its bias at bias[j]. Each channel keeps its OWN accumulator with
-  /// taps in the same ascending (ci, ky, kx) order as the single-row
-  /// kernel, so per-element results are bitwise identical — the win is
-  /// purely ILP: four independent FMA chains share every input-row
-  /// load instead of one latency-bound chain per call.
+  /// Multi-output-channel row for the graph executor: one output row
+  /// for `nco` (1..4) consecutive output channels per call. Filter co j
+  /// lives at wgt + j*wstride_co (ci slices wstride_ci apart; conv
+  /// weights give wstride_ci = k*k, wstride_co = cin*k*k, deconv
+  /// weights wstride_ci = cout*k*k, wstride_co = k*k); its output row at
+  /// out + j*ostride_co; its bias at bias[j]. Each channel keeps its OWN
+  /// accumulator with the single-channel kernel's tap order, so
+  /// per-element results are bitwise identical — the win is purely ILP:
+  /// four independent chains share every input-row load instead of one
+  /// latency-bound chain per call. Interior columns run 16/8 per pass.
   void (*conv2d_row4_s1)(const float* in, const float* wgt,
                          index_t wstride_ci, index_t wstride_co, float* out,
                          index_t ostride_co, int nco, index_t cin,
                          index_t h, index_t w, index_t k, index_t oy,
-                         index_t pad, index_t wo, const float* bias);
+                         index_t pad, index_t wo, const float* bias,
+                         bool deconv);
 
   /// One stride-1 conv3d output row (oz, oy) for `nco` (1..4)
   /// consecutive output channels. `in` is one batch item's (cin, d, h,
@@ -134,16 +140,6 @@ struct KernelTable {
                          index_t d, index_t h, index_t w, index_t k,
                          index_t oz, index_t oy, index_t pad, index_t wo,
                          const float* bias);
-
-  /// Multi-output-channel deconv2d_row_s1 (gather form), same contract
-  /// as conv2d_row4_s1. With the (Cin,Cout,K,K) deconv weight layout,
-  /// wstride_co = k*k and wstride_ci = cout*k*k.
-  void (*deconv2d_row4_s1)(const float* in, const float* wgt,
-                           index_t wstride_ci, index_t wstride_co,
-                           float* out, index_t ostride_co, int nco,
-                           index_t cin, index_t h, index_t w, index_t k,
-                           index_t oy, index_t pad, index_t wo,
-                           const float* bias);
 
   /// Input gradient of conv2d and deconv2d: one row y of `nc` (1..4)
   /// consecutive input-gradient channels,
@@ -230,41 +226,27 @@ struct KernelTable {
   // so they take the FMA throughput win — per-precision golden digests
   // pin THEIR bits across backends and widths instead.
 
-  /// conv2d_row4_s1 with fp16-stored input activations: same contract
-  /// and argument order, input elements converted on load (F16C /
-  /// scalar bit-exact equivalent), fp32 weights/bias/output, fp32
-  /// accumulation via single-rounding fmadd.
+  /// conv2d_row4_s1 with fp16/bf16-stored input activations: same
+  /// contract and argument order, input elements converted on load
+  /// (F16C / scalar bit-exact equivalent), fp32 weights/bias/output,
+  /// fp32 accumulation via single-rounding fmadd.
   void (*conv2d_row4_s1_f16)(const std::uint16_t* in, const float* wgt,
                              index_t wstride_ci, index_t wstride_co,
                              float* out, index_t ostride_co, int nco,
                              index_t cin, index_t h, index_t w, index_t k,
                              index_t oy, index_t pad, index_t wo,
-                             const float* bias);
-  void (*deconv2d_row4_s1_f16)(const std::uint16_t* in, const float* wgt,
-                               index_t wstride_ci, index_t wstride_co,
-                               float* out, index_t ostride_co, int nco,
-                               index_t cin, index_t h, index_t w, index_t k,
-                               index_t oy, index_t pad, index_t wo,
-                               const float* bias);
+                             const float* bias, bool deconv);
   void (*conv2d_row4_s1_bf16)(const std::uint16_t* in, const float* wgt,
                               index_t wstride_ci, index_t wstride_co,
                               float* out, index_t ostride_co, int nco,
                               index_t cin, index_t h, index_t w, index_t k,
                               index_t oy, index_t pad, index_t wo,
-                              const float* bias);
-  void (*deconv2d_row4_s1_bf16)(const std::uint16_t* in, const float* wgt,
-                                index_t wstride_ci, index_t wstride_co,
-                                float* out, index_t ostride_co, int nco,
-                                index_t cin, index_t h, index_t w,
-                                index_t k, index_t oy, index_t pad,
-                                index_t wo, const float* bias);
+                              const float* bias, bool deconv);
 
   /// The same single-rounding-FMA accumulation over an ALREADY-WIDENED
   /// fp32 input plane. Widening fp16/bf16 to fp32 is elementwise-exact,
   /// so calling this on a converted copy of the input produces bitwise
-  /// the bits of conv2d_row4_s1_f16/_bf16 on the stored plane — the
-  /// graph executor widens each step's input once and runs these,
-  /// instead of re-converting the same rows k times per tap loop.
+  /// the bits of conv2d_row4_s1_f16/_bf16 on the stored plane.
   /// NOT interchangeable with conv2d_row4_s1 (that one keeps the
   /// two-roundings fp32 contract; this one fuses).
   void (*conv2d_row4_s1_fma)(const float* in, const float* wgt,
@@ -272,18 +254,13 @@ struct KernelTable {
                              float* out, index_t ostride_co, int nco,
                              index_t cin, index_t h, index_t w, index_t k,
                              index_t oy, index_t pad, index_t wo,
-                             const float* bias);
-  void (*deconv2d_row4_s1_fma)(const float* in, const float* wgt,
-                               index_t wstride_ci, index_t wstride_co,
-                               float* out, index_t ostride_co, int nco,
-                               index_t cin, index_t h, index_t w, index_t k,
-                               index_t oy, index_t pad, index_t wo,
-                               const float* bias);
+                             const float* bias, bool deconv);
 
-  /// Octet variants of the _fma row kernels: nco up to 8 output
-  /// channels per input pass (nco <= 4 falls through to the quartet
-  /// body). Regrouping output channels never changes a channel's own
-  /// (ci, ky, kx) fmadd order, so the bits match the row4 kernels
+  /// Octet variant of the _fma row kernel: nco up to 8 output channels
+  /// per input pass (nco <= 4 falls through to the quartet body) — the
+  /// graph executor widens each band of input once and runs this.
+  /// Regrouping output channels never changes a channel's own
+  /// (ci, ky, kx) fmadd order, so the bits match conv2d_row4_s1_fma
   /// exactly; the point is halving the number of passes over the
   /// widened input for the memory-bound co=8 DDnet dense-layer convs.
   void (*conv2d_row8_s1_fma)(const float* in, const float* wgt,
@@ -291,13 +268,7 @@ struct KernelTable {
                              float* out, index_t ostride_co, int nco,
                              index_t cin, index_t h, index_t w, index_t k,
                              index_t oy, index_t pad, index_t wo,
-                             const float* bias);
-  void (*deconv2d_row8_s1_fma)(const float* in, const float* wgt,
-                               index_t wstride_ci, index_t wstride_co,
-                               float* out, index_t ostride_co, int nco,
-                               index_t cin, index_t h, index_t w,
-                               index_t k, index_t oy, index_t pad,
-                               index_t wo, const float* bias);
+                             const float* bias, bool deconv);
 
   /// scale_shift_act with a converting store: the fp32 affine+act
   /// expression is bit-identical to scale_shift_act, only the store
@@ -315,28 +286,23 @@ struct KernelTable {
   void (*cvt_f32_to_bf16)(const float* x, std::uint16_t* y, index_t n);
   void (*cvt_bf16_to_f32)(const std::uint16_t* x, float* y, index_t n);
 
-  /// Symmetric-int8 conv row kernels over CHANNEL-PAIR-INTERLEAVED
-  /// activations: the plane of channel pair p (channels 2p, 2p+1)
-  /// starts at in + p*h*w*2 and stores pixel (y, x) as two adjacent
-  /// bytes [c_even, c_odd] — the layout VPMADDWD wants (one 16-byte
-  /// load covers 8 output pixels x 2 input channels). Weights are
-  /// pre-widened int16 pairs, co-major: channel co's slice starts at
-  /// wgt + co*wstride_co (wstride_co in int16 elements) and stores tap
-  /// (p, ky, kx) as [w_2p, w_2p+1]. Accumulation is exact int32 (from
-  /// zero — bias lives in the fp32 epilogue), so every backend is
-  /// bitwise identical by construction; scalar and sse2 share one
-  /// portable body and avx2 overrides with the vpmaddwd kernel.
+  /// Symmetric-int8 row kernel over CHANNEL-PAIR-INTERLEAVED
+  /// activations, conv or deconv taps as above: the plane of channel
+  /// pair p (channels 2p, 2p+1) starts at in + p*h*w*2 and stores pixel
+  /// (y, x) as two adjacent bytes [c_even, c_odd] — the layout VPMADDWD
+  /// wants (one 16-byte load covers 8 output pixels x 2 input channels).
+  /// Weights are pre-widened int16 pairs, co-major in both directions:
+  /// channel co's slice starts at wgt + co*wstride_co (wstride_co in
+  /// int16 elements) and stores tap (p, ky, kx) as [w_2p, w_2p+1].
+  /// Accumulation is exact int32 (from zero — bias lives in the fp32
+  /// epilogue), so every backend is bitwise identical by construction;
+  /// scalar and sse2 share one portable body and avx2 overrides with the
+  /// vpmaddwd kernel.
   void (*conv2d_row4_s1_i8)(const std::int8_t* in, const std::int16_t* wgt,
                             index_t wstride_co, std::int32_t* out,
                             index_t ostride_co, int nco, index_t cinp,
                             index_t h, index_t w, index_t k, index_t oy,
-                            index_t pad, index_t wo);
-  void (*deconv2d_row4_s1_i8)(const std::int8_t* in,
-                              const std::int16_t* wgt, index_t wstride_co,
-                              std::int32_t* out, index_t ostride_co,
-                              int nco, index_t cinp, index_t h, index_t w,
-                              index_t k, index_t oy, index_t pad,
-                              index_t wo);
+                            index_t pad, index_t wo, bool deconv);
 
   /// Fused int8 epilogue: dequantize two accumulator planes, apply the
   /// affine/activation, requantize, and store one interleaved channel

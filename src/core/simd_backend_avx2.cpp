@@ -202,13 +202,9 @@ void i8_rowq_avx2(const std::int8_t* in, const std::int16_t* wgt,
     xhi = std::max(xlo, std::min<index_t>(wo, w - k + pad + 1));
   }
   const auto point = [&](index_t ox) {
-    if (Deconv) {
-      detail::deconv_point_q_i8<NCO>(in, wgt, wstride_co, out, ostride_co,
-                                     cinp, h, w, k, oy, ox, pad);
-    } else {
-      detail::conv_point_q_i8<NCO>(in, wgt, wstride_co, out, ostride_co,
-                                   cinp, h, w, k, oy, ox, pad);
-    }
+    detail::conv_point_q_i8<NCO, Deconv>(in, wgt, wstride_co, out,
+                                         ostride_co, cinp, h, w, k, oy, ox,
+                                         pad);
   };
   index_t ox = 0;
   for (; ox < xlo; ++ox) point(ox);
@@ -381,48 +377,16 @@ void i8_rowq_avx2(const std::int8_t* in, const std::int16_t* wgt,
   for (; ox < wo; ++ox) point(ox);
 }
 
-template <bool Deconv>
 void i8_row4_avx2(const std::int8_t* in, const std::int16_t* wgt,
                   index_t wstride_co, std::int32_t* out, index_t ostride_co,
                   int nco, index_t cinp, index_t h, index_t w, index_t k,
-                  index_t oy, index_t pad, index_t wo) {
-  switch (nco) {
-    case 1:
-      i8_rowq_avx2<1, Deconv>(in, wgt, wstride_co, out, ostride_co, cinp,
-                              h, w, k, oy, pad, wo);
-      break;
-    case 2:
-      i8_rowq_avx2<2, Deconv>(in, wgt, wstride_co, out, ostride_co, cinp,
-                              h, w, k, oy, pad, wo);
-      break;
-    case 3:
-      i8_rowq_avx2<3, Deconv>(in, wgt, wstride_co, out, ostride_co, cinp,
-                              h, w, k, oy, pad, wo);
-      break;
-    default:
-      i8_rowq_avx2<4, Deconv>(in, wgt, wstride_co, out, ostride_co, cinp,
-                              h, w, k, oy, pad, wo);
-      break;
-  }
-}
-
-void conv2d_row4_s1_i8_avx2(const std::int8_t* in, const std::int16_t* wgt,
-                            index_t wstride_co, std::int32_t* out,
-                            index_t ostride_co, int nco, index_t cinp,
-                            index_t h, index_t w, index_t k, index_t oy,
-                            index_t pad, index_t wo) {
-  i8_row4_avx2<false>(in, wgt, wstride_co, out, ostride_co, nco, cinp, h,
-                      w, k, oy, pad, wo);
-}
-
-void deconv2d_row4_s1_i8_avx2(const std::int8_t* in,
-                              const std::int16_t* wgt, index_t wstride_co,
-                              std::int32_t* out, index_t ostride_co,
-                              int nco, index_t cinp, index_t h, index_t w,
-                              index_t k, index_t oy, index_t pad,
-                              index_t wo) {
-  i8_row4_avx2<true>(in, wgt, wstride_co, out, ostride_co, nco, cinp, h, w,
-                     k, oy, pad, wo);
+                  index_t oy, index_t pad, index_t wo, bool deconv) {
+  detail::with_dir(deconv, [&](auto dc) {
+    detail::with_nco(nco, [&](auto nc) {
+      i8_rowq_avx2<decltype(nc)::value, decltype(dc)::value>(
+          in, wgt, wstride_co, out, ostride_co, cinp, h, w, k, oy, pad, wo);
+    });
+  });
 }
 
 // Vector image of detail::dequant_affine_act: vfmadd (== fmaf), then
@@ -576,8 +540,7 @@ const KernelTable* avx2_kernel_table() {
   static const KernelTable t = [] {
     KernelTable tab = detail::make_table<Avx2V>("avx2");
 #if defined(__FMA__)
-    tab.conv2d_row4_s1_i8 = &conv2d_row4_s1_i8_avx2;
-    tab.deconv2d_row4_s1_i8 = &deconv2d_row4_s1_i8_avx2;
+    tab.conv2d_row4_s1_i8 = &i8_row4_avx2;
     tab.quant_epilogue_store_i8 = &quant_epilogue_store_i8_avx2;
     tab.dequant_epilogue_f32 = &dequant_epilogue_f32_avx2;
     tab.quant_f32_to_i8 = &quant_f32_to_i8_avx2;

@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "core/half.h"
@@ -36,23 +37,74 @@
 
 namespace ccovid::simd::detail {
 
-// Scalar single-output conv tap loop — used for border columns and
-// interior tails by every backend. Tap order (ci, ky, kx) ascending
-// with bounds-check skips, matching the historical scalar kernels.
+// Compile-time dispatch of the row kernels: each helper calls `body`
+// with its runtime argument as a std::integral_constant.
+//  with_dir — the tap direction (false = conv, true = deconv);
+//  with_nco — 1..4 output channels (one named accumulator each);
+//  with_k   — the filter extent where the tap loops unroll fully (1, 3,
+//             5, 7); any other extent runs the runtime-extent form K = 0.
+template <class Body>
+inline void with_dir(bool deconv, Body&& body) {
+  if (deconv) {
+    body(std::true_type{});
+  } else {
+    body(std::false_type{});
+  }
+}
+
+template <class Body>
+inline void with_nco(int nco, Body&& body) {
+  switch (nco) {
+    case 1: body(std::integral_constant<int, 1>{}); break;
+    case 2: body(std::integral_constant<int, 2>{}); break;
+    case 3: body(std::integral_constant<int, 3>{}); break;
+    default: body(std::integral_constant<int, 4>{}); break;
+  }
+}
+
+template <class Body>
+inline void with_k(index_t k, Body&& body) {
+  switch (k) {
+    case 1: body(std::integral_constant<int, 1>{}); break;
+    case 3: body(std::integral_constant<int, 3>{}); break;
+    case 5: body(std::integral_constant<int, 5>{}); break;
+    case 7: body(std::integral_constant<int, 7>{}); break;
+    default: body(std::integral_constant<int, 0>{}); break;
+  }
+}
+
+// Every forward row body and scalar point below serves both tap
+// directions of a stride-1 row, picked by a compile-time `Deconv`
+// flag: conv reads input row iy = oy - pad + ky (ix alike), the
+// gather-form deconv iy = oy + pad - ky, walking the input in reverse
+// (inverse coefficient mapping). Each computes the tap origin
+// iy0 = oy -/+ pad and steps from it by step = +1 / -1 per tap. The
+// vector bodies first bound the filter rows [ky0, ky1) that read
+// in-range input rows and the output columns [xlo, xhi) whose every
+// kx tap is in range (the vector interior); the other columns run the
+// scalar points. The bounds are written out in each body: computed in a
+// shared helper, they made GCC allocate the conv quad body's registers
+// differently and added scalar instructions to most instantiations.
+
+// Scalar single-output tap loop — used for border columns and interior
+// tails by every backend. Tap order (ci, ky, kx) ascending with
+// bounds-check skips, matching the historical scalar kernels.
+template <bool Deconv>
 inline float conv_point(const float* in, const float* wgt, index_t wstride,
                         index_t cin, index_t h, index_t w, index_t k,
                         index_t oy, index_t ox, index_t pad, float bias) {
   float acc = bias;
-  const index_t iy0 = oy - pad;
-  const index_t ix0 = ox - pad;
+  constexpr index_t step = Deconv ? -1 : 1;
+  const index_t iy0 = Deconv ? oy + pad : oy - pad;
+  const index_t ix0 = Deconv ? ox + pad : ox - pad;
   for (index_t ci = 0; ci < cin; ++ci) {
     const float* inp = in + ci * h * w;
     const float* wp = wgt + ci * wstride;
     for (index_t ky = 0; ky < k; ++ky) {
-      const index_t iy = iy0 + ky;
+      const index_t iy = iy0 + step * ky;
       if (iy < 0 || iy >= h) continue;
       for (index_t kx = 0; kx < k; ++kx) {
-        const index_t ix = ix0 + kx;
+        const index_t ix = ix0 + step * kx;
         if (ix < 0 || ix >= w) continue;
         acc += inp[iy * w + ix] * wp[ky * k + kx];
       }
@@ -61,39 +113,16 @@ inline float conv_point(const float* in, const float* wgt, index_t wstride,
   return acc;
 }
 
-// Scalar single-output gather-deconv tap loop (iy = oy + pad - ky).
-inline float deconv_point(const float* in, const float* wgt,
-                          index_t wstride, index_t cin, index_t h,
-                          index_t w, index_t k, index_t oy, index_t ox,
-                          index_t pad, float bias) {
-  float acc = bias;
-  for (index_t ci = 0; ci < cin; ++ci) {
-    const float* inp = in + ci * h * w;
-    const float* wp = wgt + ci * wstride;
-    for (index_t ky = 0; ky < k; ++ky) {
-      const index_t iy = oy + pad - ky;
-      if (iy < 0 || iy >= h) continue;
-      for (index_t kx = 0; kx < k; ++kx) {
-        const index_t ix = ox + pad - kx;
-        if (ix < 0 || ix >= w) continue;
-        acc += inp[iy * w + ix] * wp[ky * k + kx];
-      }
-    }
-  }
-  return acc;
-}
-
-// Border-column companions of the quad row kernels: one output column
+// Border-column companion of the quad row kernels: one output column
 // for NCO consecutive output channels, sharing every input load across
 // four independent scalar accumulator chains. Per channel the tap order
-// (ci, ky, kx ascending, bounds-check skips) is exactly conv_point /
-// deconv_point, so the results are bitwise identical. The conv form
-// also serves conv3d, with depth taps kz between ci and ky: input
-// channel ci starts at in + ci*cstride, and its nkz in-range depth taps
-// are consecutive (h x w) planes with (k x k) filter slices (the caller
-// offsets in/wgt to the first one). The 2-D case is cstride = h*w,
-// nkz = 1.
-template <int NCO>
+// (ci, ky, kx ascending, bounds-check skips) is exactly conv_point's,
+// so the results are bitwise identical. Conv3d adds depth taps kz
+// between ci and ky: input channel ci starts at in + ci*cstride, and
+// its nkz in-range depth taps are consecutive (h x w) planes with
+// (k x k) filter slices (the caller offsets in/wgt to the first one).
+// The 2-D case is cstride = h*w, nkz = 1.
+template <int NCO, bool Deconv>
 inline void conv_point_q(const float* in, const float* wgt,
                          index_t wstride_ci, index_t wstride_co, float* out,
                          index_t ostride_co, index_t cin, index_t cstride,
@@ -104,8 +133,9 @@ inline void conv_point_q(const float* in, const float* wgt,
   float a1 = NCO > 1 ? bias[1] : 0.0f;
   float a2 = NCO > 2 ? bias[2] : 0.0f;
   float a3 = NCO > 3 ? bias[3] : 0.0f;
-  const index_t iy0 = oy - pad;
-  const index_t ix0 = ox - pad;
+  constexpr index_t step = Deconv ? -1 : 1;
+  const index_t iy0 = Deconv ? oy + pad : oy - pad;
+  const index_t ix0 = Deconv ? ox + pad : ox - pad;
   for (index_t ci = 0; ci < cin; ++ci) {
     for (index_t kz = 0; kz < nkz; ++kz) {
       const float* inp = in + ci * cstride + kz * h * w;
@@ -114,10 +144,10 @@ inline void conv_point_q(const float* in, const float* wgt,
       const float* w2 = w1 + wstride_co;
       const float* w3 = w2 + wstride_co;
       for (index_t ky = 0; ky < k; ++ky) {
-        const index_t iy = iy0 + ky;
+        const index_t iy = iy0 + step * ky;
         if (iy < 0 || iy >= h) continue;
         for (index_t kx = 0; kx < k; ++kx) {
-          const index_t ix = ix0 + kx;
+          const index_t ix = ix0 + step * kx;
           if (ix < 0 || ix >= w) continue;
           const float x = inp[iy * w + ix];
           a0 += x * w0[ky * k + kx];
@@ -125,42 +155,6 @@ inline void conv_point_q(const float* in, const float* wgt,
           if (NCO > 2) a2 += x * w2[ky * k + kx];
           if (NCO > 3) a3 += x * w3[ky * k + kx];
         }
-      }
-    }
-  }
-  out[ox] = a0;
-  if (NCO > 1) out[ostride_co + ox] = a1;
-  if (NCO > 2) out[2 * ostride_co + ox] = a2;
-  if (NCO > 3) out[3 * ostride_co + ox] = a3;
-}
-
-template <int NCO>
-inline void deconv_point_q(const float* in, const float* wgt,
-                           index_t wstride_ci, index_t wstride_co,
-                           float* out, index_t ostride_co, index_t cin,
-                           index_t h, index_t w, index_t k, index_t oy,
-                           index_t ox, index_t pad, const float* bias) {
-  float a0 = bias[0];
-  float a1 = NCO > 1 ? bias[1] : 0.0f;
-  float a2 = NCO > 2 ? bias[2] : 0.0f;
-  float a3 = NCO > 3 ? bias[3] : 0.0f;
-  for (index_t ci = 0; ci < cin; ++ci) {
-    const float* inp = in + ci * h * w;
-    const float* w0 = wgt + ci * wstride_ci;
-    const float* w1 = w0 + wstride_co;
-    const float* w2 = w1 + wstride_co;
-    const float* w3 = w2 + wstride_co;
-    for (index_t ky = 0; ky < k; ++ky) {
-      const index_t iy = oy + pad - ky;
-      if (iy < 0 || iy >= h) continue;
-      for (index_t kx = 0; kx < k; ++kx) {
-        const index_t ix = ox + pad - kx;
-        if (ix < 0 || ix >= w) continue;
-        const float x = inp[iy * w + ix];
-        a0 += x * w0[ky * k + kx];
-        if (NCO > 1) a1 += x * w1[ky * k + kx];
-        if (NCO > 2) a2 += x * w2[ky * k + kx];
-        if (NCO > 3) a3 += x * w3[ky * k + kx];
       }
     }
   }
@@ -268,65 +262,26 @@ inline float dequant_affine_act(std::int32_t acc, float m, float bias,
 }
 
 // One output column, NCO channels, int8 interleaved input (see the
-// layout comment in core/simd.h). Shared by the generic row kernels
+// layout comment in core/simd.h). Shared by the generic row kernel
 // below and by the avx2 kernel's border columns.
-template <int NCO>
+template <int NCO, bool Deconv>
 inline void conv_point_q_i8(const std::int8_t* in, const std::int16_t* wgt,
                             index_t wstride_co, std::int32_t* out,
                             index_t ostride_co, index_t cinp, index_t h,
                             index_t w, index_t k, index_t oy, index_t ox,
                             index_t pad) {
   std::int32_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;
-  const index_t iy0 = oy - pad;
-  const index_t ix0 = ox - pad;
+  constexpr index_t step = Deconv ? -1 : 1;
+  const index_t iy0 = Deconv ? oy + pad : oy - pad;
+  const index_t ix0 = Deconv ? ox + pad : ox - pad;
   for (index_t p = 0; p < cinp; ++p) {
     const std::int8_t* inp = in + p * h * w * 2;
     const std::int16_t* w0 = wgt + p * k * k * 2;
     for (index_t ky = 0; ky < k; ++ky) {
-      const index_t iy = iy0 + ky;
+      const index_t iy = iy0 + step * ky;
       if (iy < 0 || iy >= h) continue;
       for (index_t kx = 0; kx < k; ++kx) {
-        const index_t ix = ix0 + kx;
-        if (ix < 0 || ix >= w) continue;
-        const std::int32_t x0 = inp[(iy * w + ix) * 2];
-        const std::int32_t x1 = inp[(iy * w + ix) * 2 + 1];
-        const index_t t = (ky * k + kx) * 2;
-        a0 += x0 * w0[t] + x1 * w0[t + 1];
-        if (NCO > 1) {
-          a1 += x0 * w0[wstride_co + t] + x1 * w0[wstride_co + t + 1];
-        }
-        if (NCO > 2) {
-          a2 += x0 * w0[2 * wstride_co + t] +
-                x1 * w0[2 * wstride_co + t + 1];
-        }
-        if (NCO > 3) {
-          a3 += x0 * w0[3 * wstride_co + t] +
-                x1 * w0[3 * wstride_co + t + 1];
-        }
-      }
-    }
-  }
-  out[ox] = a0;
-  if (NCO > 1) out[ostride_co + ox] = a1;
-  if (NCO > 2) out[2 * ostride_co + ox] = a2;
-  if (NCO > 3) out[3 * ostride_co + ox] = a3;
-}
-
-template <int NCO>
-inline void deconv_point_q_i8(const std::int8_t* in,
-                              const std::int16_t* wgt, index_t wstride_co,
-                              std::int32_t* out, index_t ostride_co,
-                              index_t cinp, index_t h, index_t w, index_t k,
-                              index_t oy, index_t ox, index_t pad) {
-  std::int32_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;
-  for (index_t p = 0; p < cinp; ++p) {
-    const std::int8_t* inp = in + p * h * w * 2;
-    const std::int16_t* w0 = wgt + p * k * k * 2;
-    for (index_t ky = 0; ky < k; ++ky) {
-      const index_t iy = oy + pad - ky;
-      if (iy < 0 || iy >= h) continue;
-      for (index_t kx = 0; kx < k; ++kx) {
-        const index_t ix = ox + pad - kx;
+        const index_t ix = ix0 + step * kx;
         if (ix < 0 || ix >= w) continue;
         const std::int32_t x0 = inp[(iy * w + ix) * 2];
         const std::int32_t x1 = inp[(iy * w + ix) * 2 + 1];
@@ -358,57 +313,16 @@ inline void conv2d_row4_s1_i8_generic(const std::int8_t* in,
                                       index_t ostride_co, int nco,
                                       index_t cinp, index_t h, index_t w,
                                       index_t k, index_t oy, index_t pad,
-                                      index_t wo) {
-  for (index_t ox = 0; ox < wo; ++ox) {
-    switch (nco) {
-      case 1:
-        conv_point_q_i8<1>(in, wgt, wstride_co, out, ostride_co, cinp, h,
-                           w, k, oy, ox, pad);
-        break;
-      case 2:
-        conv_point_q_i8<2>(in, wgt, wstride_co, out, ostride_co, cinp, h,
-                           w, k, oy, ox, pad);
-        break;
-      case 3:
-        conv_point_q_i8<3>(in, wgt, wstride_co, out, ostride_co, cinp, h,
-                           w, k, oy, ox, pad);
-        break;
-      default:
-        conv_point_q_i8<4>(in, wgt, wstride_co, out, ostride_co, cinp, h,
-                           w, k, oy, ox, pad);
-        break;
-    }
-  }
-}
-
-inline void deconv2d_row4_s1_i8_generic(const std::int8_t* in,
-                                        const std::int16_t* wgt,
-                                        index_t wstride_co,
-                                        std::int32_t* out,
-                                        index_t ostride_co, int nco,
-                                        index_t cinp, index_t h, index_t w,
-                                        index_t k, index_t oy, index_t pad,
-                                        index_t wo) {
-  for (index_t ox = 0; ox < wo; ++ox) {
-    switch (nco) {
-      case 1:
-        deconv_point_q_i8<1>(in, wgt, wstride_co, out, ostride_co, cinp,
-                             h, w, k, oy, ox, pad);
-        break;
-      case 2:
-        deconv_point_q_i8<2>(in, wgt, wstride_co, out, ostride_co, cinp,
-                             h, w, k, oy, ox, pad);
-        break;
-      case 3:
-        deconv_point_q_i8<3>(in, wgt, wstride_co, out, ostride_co, cinp,
-                             h, w, k, oy, ox, pad);
-        break;
-      default:
-        deconv_point_q_i8<4>(in, wgt, wstride_co, out, ostride_co, cinp,
-                             h, w, k, oy, ox, pad);
-        break;
-    }
-  }
+                                      index_t wo, bool deconv) {
+  with_dir(deconv, [&](auto dc) {
+    with_nco(nco, [&](auto nc) {
+      for (index_t ox = 0; ox < wo; ++ox) {
+        conv_point_q_i8<decltype(nc)::value, decltype(dc)::value>(
+            in, wgt, wstride_co, out, ostride_co, cinp, h, w, k, oy, ox,
+            pad);
+      }
+    });
+  });
 }
 
 inline void quant_epilogue_store_i8_generic(const std::int32_t* acc0,
@@ -506,7 +420,7 @@ struct F32Src {
 // Border-column scalar path of the half-precision quad kernels: fmaf
 // per tap mirrors the vector V::fmadd lane op (both correctly
 // rounded), keeping border and interior columns on one contract.
-template <int NCO, class S>
+template <int NCO, class S, bool Deconv>
 inline void lowp_conv_point_q(const typename S::elem* in, const float* wgt,
                               index_t wstride_ci, index_t wstride_co,
                               float* out, index_t ostride_co, index_t cin,
@@ -516,8 +430,9 @@ inline void lowp_conv_point_q(const typename S::elem* in, const float* wgt,
   float a1 = NCO > 1 ? bias[1] : 0.0f;
   float a2 = NCO > 2 ? bias[2] : 0.0f;
   float a3 = NCO > 3 ? bias[3] : 0.0f;
-  const index_t iy0 = oy - pad;
-  const index_t ix0 = ox - pad;
+  constexpr index_t step = Deconv ? -1 : 1;
+  const index_t iy0 = Deconv ? oy + pad : oy - pad;
+  const index_t ix0 = Deconv ? ox + pad : ox - pad;
   for (index_t ci = 0; ci < cin; ++ci) {
     const typename S::elem* inp = in + ci * h * w;
     const float* w0 = wgt + ci * wstride_ci;
@@ -525,48 +440,10 @@ inline void lowp_conv_point_q(const typename S::elem* in, const float* wgt,
     const float* w2 = w1 + wstride_co;
     const float* w3 = w2 + wstride_co;
     for (index_t ky = 0; ky < k; ++ky) {
-      const index_t iy = iy0 + ky;
+      const index_t iy = iy0 + step * ky;
       if (iy < 0 || iy >= h) continue;
       for (index_t kx = 0; kx < k; ++kx) {
-        const index_t ix = ix0 + kx;
-        if (ix < 0 || ix >= w) continue;
-        const float x = S::load1(inp + iy * w + ix);
-        a0 = std::fmaf(x, w0[ky * k + kx], a0);
-        if (NCO > 1) a1 = std::fmaf(x, w1[ky * k + kx], a1);
-        if (NCO > 2) a2 = std::fmaf(x, w2[ky * k + kx], a2);
-        if (NCO > 3) a3 = std::fmaf(x, w3[ky * k + kx], a3);
-      }
-    }
-  }
-  out[ox] = a0;
-  if (NCO > 1) out[ostride_co + ox] = a1;
-  if (NCO > 2) out[2 * ostride_co + ox] = a2;
-  if (NCO > 3) out[3 * ostride_co + ox] = a3;
-}
-
-template <int NCO, class S>
-inline void lowp_deconv_point_q(const typename S::elem* in,
-                                const float* wgt,
-                                index_t wstride_ci, index_t wstride_co,
-                                float* out, index_t ostride_co,
-                                index_t cin, index_t h, index_t w,
-                                index_t k, index_t oy, index_t ox,
-                                index_t pad, const float* bias) {
-  float a0 = bias[0];
-  float a1 = NCO > 1 ? bias[1] : 0.0f;
-  float a2 = NCO > 2 ? bias[2] : 0.0f;
-  float a3 = NCO > 3 ? bias[3] : 0.0f;
-  for (index_t ci = 0; ci < cin; ++ci) {
-    const typename S::elem* inp = in + ci * h * w;
-    const float* w0 = wgt + ci * wstride_ci;
-    const float* w1 = w0 + wstride_co;
-    const float* w2 = w1 + wstride_co;
-    const float* w3 = w2 + wstride_co;
-    for (index_t ky = 0; ky < k; ++ky) {
-      const index_t iy = oy + pad - ky;
-      if (iy < 0 || iy >= h) continue;
-      for (index_t kx = 0; kx < k; ++kx) {
-        const index_t ix = ox + pad - kx;
+        const index_t ix = ix0 + step * kx;
         if (ix < 0 || ix >= w) continue;
         const float x = S::load1(inp + iy * w + ix);
         a0 = std::fmaf(x, w0[ky * k + kx], a0);
@@ -606,91 +483,79 @@ struct Kernels {
     V::storeu(c + 3 * ldc, V::add(V::loadu(c + 3 * ldc), acc3));
   }
 
-  static void conv2d_row_s1(const float* CCOVID_RESTRICT in,
-                            const float* CCOVID_RESTRICT wgt,
-                            index_t wstride, float* CCOVID_RESTRICT out,
-                            index_t cin, index_t h, index_t w, index_t k,
-                            index_t oy, index_t pad, index_t wo,
-                            float bias) {
-    // Interior x span: every kx tap in bounds. Valid ky rows depend
-    // only on oy and bound the tap loop identically on both paths.
-    const index_t ky0 = std::max<index_t>(0, pad - oy);
-    const index_t ky1 = std::min<index_t>(k, h + pad - oy);
-    const index_t xlo = std::min<index_t>(pad, wo);
-    const index_t xhi = std::max(xlo, std::min<index_t>(wo, w - k + pad + 1));
+  // One stride-1 output row of one output channel, conv or gather-form
+  // deconv: 8 output pixels per vector in the interior, scalar points at
+  // the borders, both in conv_point's (ci, ky, kx) tap order. Kept out
+  // of line: inlined together into the entry, the two directions share
+  // one register allocation, and the deconv row's ky loop then reloads
+  // its bounds from the stack (up to 30% slower at k = 1).
+  template <bool Deconv>
+  [[gnu::noinline]] static void conv2d_row(const float* CCOVID_RESTRICT in,
+                         const float* CCOVID_RESTRICT wgt, index_t wstride,
+                         float* CCOVID_RESTRICT out, index_t cin, index_t h,
+                         index_t w, index_t k, index_t oy, index_t pad,
+                         index_t wo, float bias) {
+    index_t ky0, ky1, xlo, xhi;
+    if (Deconv) {
+      ky0 = std::max<index_t>(0, oy + pad - h + 1);
+      ky1 = std::min<index_t>(k, oy + pad + 1);
+      xlo = std::min<index_t>(std::max<index_t>(0, k - 1 - pad), wo);
+      xhi = std::max(xlo, std::min<index_t>(wo, w - pad));
+    } else {
+      ky0 = std::max<index_t>(0, pad - oy);
+      ky1 = std::min<index_t>(k, h + pad - oy);
+      xlo = std::min<index_t>(pad, wo);
+      xhi = std::max(xlo, std::min<index_t>(wo, w - k + pad + 1));
+    }
+    constexpr index_t step = Deconv ? -1 : 1;  // input step per tap
+    const index_t iy0 = Deconv ? oy + pad : oy - pad;
     index_t ox = 0;
     for (; ox < xlo; ++ox) {
-      out[ox] = conv_point(in, wgt, wstride, cin, h, w, k, oy, ox, pad,
-                           bias);
+      out[ox] = conv_point<Deconv>(in, wgt, wstride, cin, h, w, k, oy, ox,
+                                   pad, bias);
     }
-    const index_t iy0 = oy - pad;
     for (; ox + 8 <= xhi; ox += 8) {
       v8 acc = V::set1(bias);
-      const index_t ix0 = ox - pad;
+      const index_t ix0 = Deconv ? ox + pad : ox - pad;
       for (index_t ci = 0; ci < cin; ++ci) {
         const float* inp = in + ci * h * w;
         const float* wp = wgt + ci * wstride;
         for (index_t ky = ky0; ky < ky1; ++ky) {
-          const float* row = inp + (iy0 + ky) * w + ix0;
+          const float* row = inp + (iy0 + step * ky) * w + ix0;
           for (index_t kx = 0; kx < k; ++kx) {
-            acc = V::madd(acc, V::loadu(row + kx), V::set1(wp[ky * k + kx]));
+            acc = V::madd(acc, V::loadu(row + step * kx),
+                          V::set1(wp[ky * k + kx]));
           }
         }
       }
       V::storeu(out + ox, acc);
     }
     for (; ox < wo; ++ox) {
-      out[ox] = conv_point(in, wgt, wstride, cin, h, w, k, oy, ox, pad,
-                           bias);
+      out[ox] = conv_point<Deconv>(in, wgt, wstride, cin, h, w, k, oy, ox,
+                                   pad, bias);
     }
   }
 
-  static void deconv2d_row_s1(const float* CCOVID_RESTRICT in,
-                              const float* CCOVID_RESTRICT wgt,
-                              index_t wstride, float* CCOVID_RESTRICT out,
-                              index_t cin, index_t h, index_t w, index_t k,
-                              index_t oy, index_t pad, index_t wo,
-                              float bias) {
-    // ix = ox + pad - kx must stay in [0, w) for every kx in [0, k).
-    const index_t ky0 = std::max<index_t>(0, oy + pad - h + 1);
-    const index_t ky1 = std::min<index_t>(k, oy + pad + 1);
-    const index_t xlo = std::min<index_t>(std::max<index_t>(0, k - 1 - pad),
-                                          wo);
-    const index_t xhi = std::max(xlo, std::min<index_t>(wo, w - pad));
-    index_t ox = 0;
-    for (; ox < xlo; ++ox) {
-      out[ox] = deconv_point(in, wgt, wstride, cin, h, w, k, oy, ox, pad,
-                             bias);
-    }
-    for (; ox + 8 <= xhi; ox += 8) {
-      v8 acc = V::set1(bias);
-      for (index_t ci = 0; ci < cin; ++ci) {
-        const float* inp = in + ci * h * w;
-        const float* wp = wgt + ci * wstride;
-        for (index_t ky = ky0; ky < ky1; ++ky) {
-          const float* row = inp + (oy + pad - ky) * w + (ox + pad);
-          for (index_t kx = 0; kx < k; ++kx) {
-            acc = V::madd(acc, V::loadu(row - kx), V::set1(wp[ky * k + kx]));
-          }
-        }
-      }
-      V::storeu(out + ox, acc);
-    }
-    for (; ox < wo; ++ox) {
-      out[ox] = deconv_point(in, wgt, wstride, cin, h, w, k, oy, ox, pad,
-                             bias);
-    }
+  static void conv2d_row_s1(const float* in, const float* wgt,
+                            index_t wstride, float* out, index_t cin,
+                            index_t h, index_t w, index_t k, index_t oy,
+                            index_t pad, index_t wo, float bias,
+                            bool deconv) {
+    with_dir(deconv, [&](auto dc) {
+      conv2d_row<decltype(dc)::value>(in, wgt, wstride, out, cin, h, w, k,
+                                      oy, pad, wo, bias);
+    });
   }
 
   // Quad-channel row kernels. NCO independent accumulator chains (one
   // per output channel) share each 8-lane input load; every chain
   // replays the exact (ci, ky, kx) tap order of the single-channel
-  // kernel, so lane contents match conv2d_row_s1 / deconv2d_row_s1 bit
-  // for bit. Border columns reuse the shared scalar points per channel.
-  // DEPTH adds conv3d's depth-tap loop between ci and ky (see
-  // conv_point_q for cstride/nkz); without it the loop is the single
-  // 2-D tap plane, folded away at compile time.
-  template <int NCO, int K, bool DEPTH>
+  // kernel, so lane contents match conv2d_row bit for bit. Border
+  // columns reuse the shared scalar points per channel. DEPTH adds
+  // conv3d's depth-tap loop between ci and ky (see conv_point_q for
+  // cstride/nkz); without it the loop is the single 2-D tap plane,
+  // folded away at compile time. Conv3d is conv-only.
+  template <int NCO, int K, bool DEPTH, bool Deconv>
   static void conv2d_rowq_body(const float* CCOVID_RESTRICT in,
                                const float* CCOVID_RESTRICT wgt,
                                index_t wstride_ci, index_t wstride_co,
@@ -700,21 +565,31 @@ struct Kernels {
                                index_t w, index_t k, index_t oy,
                                index_t pad, index_t wo,
                                const float* CCOVID_RESTRICT bias) {
+    static_assert(!(DEPTH && Deconv), "the deconv rows are 2-D only");
     // K > 0: compile-time kernel extent — the kx/ky loops below fully
     // unroll and every weight index folds into a constant displacement.
     const index_t kk = K > 0 ? index_t(K) : k;
     const index_t nz = DEPTH ? nkz : 1;
-    const index_t ky0 = std::max<index_t>(0, pad - oy);
-    const index_t ky1 = std::min<index_t>(kk, h + pad - oy);
-    const index_t xlo = std::min<index_t>(pad, wo);
-    const index_t xhi =
-        std::max(xlo, std::min<index_t>(wo, w - kk + pad + 1));
+    index_t ky0, ky1, xlo, xhi;
+    if (Deconv) {
+      ky0 = std::max<index_t>(0, oy + pad - h + 1);
+      ky1 = std::min<index_t>(kk, oy + pad + 1);
+      xlo = std::min<index_t>(std::max<index_t>(0, kk - 1 - pad), wo);
+      xhi = std::max(xlo, std::min<index_t>(wo, w - pad));
+    } else {
+      ky0 = std::max<index_t>(0, pad - oy);
+      ky1 = std::min<index_t>(kk, h + pad - oy);
+      xlo = std::min<index_t>(pad, wo);
+      xhi = std::max(xlo, std::min<index_t>(wo, w - kk + pad + 1));
+    }
     index_t ox = 0;
     for (; ox < xlo; ++ox) {
-      conv_point_q<NCO>(in, wgt, wstride_ci, wstride_co, out, ostride_co,
-                        cin, cstride, nz, h, w, k, oy, ox, pad, bias);
+      conv_point_q<NCO, Deconv>(in, wgt, wstride_ci, wstride_co, out,
+                                ostride_co, cin, cstride, nz, h, w, k, oy,
+                                ox, pad, bias);
     }
-    const index_t iy0 = oy - pad;
+    constexpr index_t step = Deconv ? -1 : 1;  // input step per tap
+    const index_t iy0 = Deconv ? oy + pad : oy - pad;
     // Double-wide interior: two 8-lane column blocks per pass share
     // every weight broadcast, giving up to eight independent chains in
     // flight. Column block [ox+8, ox+16) sees the identical tap stream
@@ -724,7 +599,7 @@ struct Kernels {
       v8 a1 = NCO > 1 ? V::set1(bias[1]) : V::zero(), b1 = a1;
       v8 a2 = NCO > 2 ? V::set1(bias[2]) : V::zero(), b2 = a2;
       v8 a3 = NCO > 3 ? V::set1(bias[3]) : V::zero(), b3 = a3;
-      const index_t ix0 = ox - pad;
+      const index_t ix0 = Deconv ? ox + pad : ox - pad;
       for (index_t ci = 0; ci < cin; ++ci) {
         for (index_t kz = 0; kz < nz; ++kz) {
           const float* inp = in + ci * cstride + kz * h * w;
@@ -733,11 +608,11 @@ struct Kernels {
           const float* w2 = w1 + wstride_co;
           const float* w3 = w2 + wstride_co;
           for (index_t ky = ky0; ky < ky1; ++ky) {
-            const float* row = inp + (iy0 + ky) * w + ix0;
+            const float* row = inp + (iy0 + step * ky) * w + ix0;
             const index_t kb = ky * kk;
             for (index_t kx = 0; kx < kk; ++kx) {
-              const v8 v = V::loadu(row + kx);
-              const v8 u = V::loadu(row + kx + 8);
+              const v8 v = V::loadu(row + step * kx);
+              const v8 u = V::loadu(row + step * kx + 8);
               const v8 wv0 = V::set1(w0[kb + kx]);
               a0 = V::madd(a0, v, wv0);
               b0 = V::madd(b0, u, wv0);
@@ -783,7 +658,7 @@ struct Kernels {
       v8 a1 = NCO > 1 ? V::set1(bias[1]) : V::zero();
       v8 a2 = NCO > 2 ? V::set1(bias[2]) : V::zero();
       v8 a3 = NCO > 3 ? V::set1(bias[3]) : V::zero();
-      const index_t ix0 = ox - pad;
+      const index_t ix0 = Deconv ? ox + pad : ox - pad;
       for (index_t ci = 0; ci < cin; ++ci) {
         for (index_t kz = 0; kz < nz; ++kz) {
           const float* inp = in + ci * cstride + kz * h * w;
@@ -792,10 +667,10 @@ struct Kernels {
           const float* w2 = w1 + wstride_co;
           const float* w3 = w2 + wstride_co;
           for (index_t ky = ky0; ky < ky1; ++ky) {
-            const float* row = inp + (iy0 + ky) * w + ix0;
+            const float* row = inp + (iy0 + step * ky) * w + ix0;
             const index_t kb = ky * kk;
             for (index_t kx = 0; kx < kk; ++kx) {
-              const v8 v = V::loadu(row + kx);
+              const v8 v = V::loadu(row + step * kx);
               a0 = V::madd(a0, v, V::set1(w0[kb + kx]));
               if (NCO > 1) a1 = V::madd(a1, v, V::set1(w1[kb + kx]));
               if (NCO > 2) a2 = V::madd(a2, v, V::set1(w2[kb + kx]));
@@ -810,67 +685,27 @@ struct Kernels {
       if (NCO > 3) V::storeu(out + 3 * ostride_co + ox, a3);
     }
     for (; ox < wo; ++ox) {
-      conv_point_q<NCO>(in, wgt, wstride_ci, wstride_co, out, ostride_co,
-                        cin, cstride, nz, h, w, k, oy, ox, pad, bias);
+      conv_point_q<NCO, Deconv>(in, wgt, wstride_ci, wstride_co, out,
+                                ostride_co, cin, cstride, nz, h, w, k, oy,
+                                ox, pad, bias);
     }
   }
 
-  template <int NCO, bool DEPTH>
-  static void conv2d_rowq_k(const float* in, const float* wgt,
-                 index_t wstride_ci, index_t wstride_co, float* out,
-                 index_t ostride_co, index_t cin, index_t cstride,
-                 index_t nkz, index_t h, index_t w, index_t k, index_t oy,
-                 index_t pad, index_t wo, const float* bias) {
-    switch (k) {
-      case 1:
-        conv2d_rowq_body<NCO, 1, DEPTH>(in, wgt, wstride_ci, wstride_co,
-                 out, ostride_co, cin, cstride, nkz, h, w, k, oy, pad, wo,
-                 bias);
-        break;
-      case 3:
-        conv2d_rowq_body<NCO, 3, DEPTH>(in, wgt, wstride_ci, wstride_co,
-                 out, ostride_co, cin, cstride, nkz, h, w, k, oy, pad, wo,
-                 bias);
-        break;
-      case 5:
-        conv2d_rowq_body<NCO, 5, DEPTH>(in, wgt, wstride_ci, wstride_co,
-                 out, ostride_co, cin, cstride, nkz, h, w, k, oy, pad, wo,
-                 bias);
-        break;
-      case 7:
-        conv2d_rowq_body<NCO, 7, DEPTH>(in, wgt, wstride_ci, wstride_co,
-                 out, ostride_co, cin, cstride, nkz, h, w, k, oy, pad, wo,
-                 bias);
-        break;
-      default:
-        conv2d_rowq_body<NCO, 0, DEPTH>(in, wgt, wstride_ci, wstride_co,
-                 out, ostride_co, cin, cstride, nkz, h, w, k, oy, pad, wo,
-                 bias);
-        break;
-    }
-  }
-
-  template <bool DEPTH>
+  template <bool DEPTH, bool Deconv>
   static void conv_rowq(const float* in, const float* wgt,
                         index_t wstride_ci, index_t wstride_co, float* out,
                         index_t ostride_co, int nco, index_t cin,
                         index_t cstride, index_t nkz, index_t h, index_t w,
                         index_t k, index_t oy, index_t pad, index_t wo,
                         const float* bias) {
-    switch (nco) {
-      case 1: conv2d_rowq_k<1, DEPTH>(in, wgt, wstride_ci, wstride_co, out,
-                 ostride_co, cin, cstride, nkz, h, w, k, oy, pad, wo,
-                 bias); break;
-      case 2: conv2d_rowq_k<2, DEPTH>(in, wgt, wstride_ci, wstride_co, out,
-                 ostride_co, cin, cstride, nkz, h, w, k, oy, pad, wo,
-                 bias); break;
-      case 3: conv2d_rowq_k<3, DEPTH>(in, wgt, wstride_ci, wstride_co, out,
-                 ostride_co, cin, cstride, nkz, h, w, k, oy, pad, wo,
-                 bias); break;
-      default: conv2d_rowq_k<4, DEPTH>(in, wgt, wstride_ci, wstride_co,
-                 out, ostride_co, cin, cstride, nkz, h, w, k, oy, pad, wo,
-                 bias); break;
-    }
+    with_nco(nco, [&](auto nc) {
+      with_k(k, [&](auto kc) {
+        conv2d_rowq_body<decltype(nc)::value, decltype(kc)::value, DEPTH,
+                         Deconv>(in, wgt, wstride_ci, wstride_co, out,
+                                 ostride_co, cin, cstride, nkz, h, w, k, oy,
+                                 pad, wo, bias);
+      });
+    });
   }
 
   static void conv2d_row4_s1(const float* in, const float* wgt,
@@ -878,9 +713,12 @@ struct Kernels {
                              float* out, index_t ostride_co, int nco,
                              index_t cin, index_t h, index_t w, index_t k,
                              index_t oy, index_t pad, index_t wo,
-                             const float* bias) {
-    conv_rowq<false>(in, wgt, wstride_ci, wstride_co, out, ostride_co, nco,
-                     cin, h * w, 1, h, w, k, oy, pad, wo, bias);
+                             const float* bias, bool deconv) {
+    with_dir(deconv, [&](auto dc) {
+      conv_rowq<false, decltype(dc)::value>(in, wgt, wstride_ci, wstride_co,
+                                            out, ostride_co, nco, cin, h * w,
+                                            1, h, w, k, oy, pad, wo, bias);
+    });
   }
 
   static void conv3d_row4_s1(const float* in, const float* wgt, float* out,
@@ -897,163 +735,9 @@ struct Kernels {
       in += (oz - pad + kz0) * h * w;
       wgt += kz0 * k * k;
     }
-    conv_rowq<true>(in, wgt, k * k * k, cin * k * k * k, out, ostride_co,
-                    nco, cin, d * h * w, nkz, h, w, k, oy, pad, wo, bias);
-  }
-
-  template <int NCO, int K>
-  static void deconv2d_rowq_body(const float* CCOVID_RESTRICT in,
-                                 const float* CCOVID_RESTRICT wgt,
-                                 index_t wstride_ci, index_t wstride_co,
-                                 float* CCOVID_RESTRICT out,
-                                 index_t ostride_co, index_t cin, index_t h,
-                                 index_t w, index_t k, index_t oy,
-                                 index_t pad, index_t wo,
-                                 const float* CCOVID_RESTRICT bias) {
-    const index_t kk = K > 0 ? index_t(K) : k;
-    const index_t ky0 = std::max<index_t>(0, oy + pad - h + 1);
-    const index_t ky1 = std::min<index_t>(kk, oy + pad + 1);
-    const index_t xlo =
-        std::min<index_t>(std::max<index_t>(0, kk - 1 - pad), wo);
-    const index_t xhi = std::max(xlo, std::min<index_t>(wo, w - pad));
-    index_t ox = 0;
-    for (; ox < xlo; ++ox) {
-      deconv_point_q<NCO>(in, wgt, wstride_ci, wstride_co, out,
-                          ostride_co, cin, h, w, k, oy, ox, pad, bias);
-    }
-    for (; ox + 16 <= xhi; ox += 16) {
-      v8 a0 = V::set1(bias[0]), b0 = a0;
-      v8 a1 = NCO > 1 ? V::set1(bias[1]) : V::zero(), b1 = a1;
-      v8 a2 = NCO > 2 ? V::set1(bias[2]) : V::zero(), b2 = a2;
-      v8 a3 = NCO > 3 ? V::set1(bias[3]) : V::zero(), b3 = a3;
-      for (index_t ci = 0; ci < cin; ++ci) {
-        const float* inp = in + ci * h * w;
-        const float* w0 = wgt + ci * wstride_ci;
-        const float* w1 = w0 + wstride_co;
-        const float* w2 = w1 + wstride_co;
-        const float* w3 = w2 + wstride_co;
-        for (index_t ky = ky0; ky < ky1; ++ky) {
-          const float* row = inp + (oy + pad - ky) * w + (ox + pad);
-          const index_t kb = ky * kk;
-          for (index_t kx = 0; kx < kk; ++kx) {
-            const v8 v = V::loadu(row - kx);
-            const v8 u = V::loadu(row - kx + 8);
-            const v8 wv0 = V::set1(w0[kb + kx]);
-            a0 = V::madd(a0, v, wv0);
-            b0 = V::madd(b0, u, wv0);
-            if (NCO > 1) {
-              const v8 wv1 = V::set1(w1[kb + kx]);
-              a1 = V::madd(a1, v, wv1);
-              b1 = V::madd(b1, u, wv1);
-            }
-            if (NCO > 2) {
-              const v8 wv2 = V::set1(w2[kb + kx]);
-              a2 = V::madd(a2, v, wv2);
-              b2 = V::madd(b2, u, wv2);
-            }
-            if (NCO > 3) {
-              const v8 wv3 = V::set1(w3[kb + kx]);
-              a3 = V::madd(a3, v, wv3);
-              b3 = V::madd(b3, u, wv3);
-            }
-          }
-        }
-      }
-      V::storeu(out + ox, a0);
-      V::storeu(out + ox + 8, b0);
-      if (NCO > 1) {
-        V::storeu(out + ostride_co + ox, a1);
-        V::storeu(out + ostride_co + ox + 8, b1);
-      }
-      if (NCO > 2) {
-        V::storeu(out + 2 * ostride_co + ox, a2);
-        V::storeu(out + 2 * ostride_co + ox + 8, b2);
-      }
-      if (NCO > 3) {
-        V::storeu(out + 3 * ostride_co + ox, a3);
-        V::storeu(out + 3 * ostride_co + ox + 8, b3);
-      }
-    }
-    for (; ox + 8 <= xhi; ox += 8) {
-      v8 a0 = V::set1(bias[0]);
-      v8 a1 = NCO > 1 ? V::set1(bias[1]) : V::zero();
-      v8 a2 = NCO > 2 ? V::set1(bias[2]) : V::zero();
-      v8 a3 = NCO > 3 ? V::set1(bias[3]) : V::zero();
-      for (index_t ci = 0; ci < cin; ++ci) {
-        const float* inp = in + ci * h * w;
-        const float* w0 = wgt + ci * wstride_ci;
-        const float* w1 = w0 + wstride_co;
-        const float* w2 = w1 + wstride_co;
-        const float* w3 = w2 + wstride_co;
-        for (index_t ky = ky0; ky < ky1; ++ky) {
-          const float* row = inp + (oy + pad - ky) * w + (ox + pad);
-          const index_t kb = ky * kk;
-          for (index_t kx = 0; kx < kk; ++kx) {
-            const v8 v = V::loadu(row - kx);
-            a0 = V::madd(a0, v, V::set1(w0[kb + kx]));
-            if (NCO > 1) a1 = V::madd(a1, v, V::set1(w1[kb + kx]));
-            if (NCO > 2) a2 = V::madd(a2, v, V::set1(w2[kb + kx]));
-            if (NCO > 3) a3 = V::madd(a3, v, V::set1(w3[kb + kx]));
-          }
-        }
-      }
-      V::storeu(out + ox, a0);
-      if (NCO > 1) V::storeu(out + ostride_co + ox, a1);
-      if (NCO > 2) V::storeu(out + 2 * ostride_co + ox, a2);
-      if (NCO > 3) V::storeu(out + 3 * ostride_co + ox, a3);
-    }
-    for (; ox < wo; ++ox) {
-      deconv_point_q<NCO>(in, wgt, wstride_ci, wstride_co, out,
-                          ostride_co, cin, h, w, k, oy, ox, pad, bias);
-    }
-  }
-
-  template <int NCO>
-  static void deconv2d_rowq_k(const float* in, const float* wgt,
-                 index_t wstride_ci, index_t wstride_co, float* out,
-                 index_t ostride_co, index_t cin, index_t h, index_t w,
-                 index_t k, index_t oy, index_t pad, index_t wo,
-                 const float* bias) {
-    switch (k) {
-      case 1:
-        deconv2d_rowq_body<NCO, 1>(in, wgt, wstride_ci, wstride_co, out,
-                 ostride_co, cin, h, w, k, oy, pad, wo, bias);
-        break;
-      case 3:
-        deconv2d_rowq_body<NCO, 3>(in, wgt, wstride_ci, wstride_co, out,
-                 ostride_co, cin, h, w, k, oy, pad, wo, bias);
-        break;
-      case 5:
-        deconv2d_rowq_body<NCO, 5>(in, wgt, wstride_ci, wstride_co, out,
-                 ostride_co, cin, h, w, k, oy, pad, wo, bias);
-        break;
-      case 7:
-        deconv2d_rowq_body<NCO, 7>(in, wgt, wstride_ci, wstride_co, out,
-                 ostride_co, cin, h, w, k, oy, pad, wo, bias);
-        break;
-      default:
-        deconv2d_rowq_body<NCO, 0>(in, wgt, wstride_ci, wstride_co, out,
-                 ostride_co, cin, h, w, k, oy, pad, wo, bias);
-        break;
-    }
-  }
-
-  static void deconv2d_row4_s1(const float* in, const float* wgt,
-                             index_t wstride_ci, index_t wstride_co,
-                             float* out, index_t ostride_co, int nco,
-                             index_t cin, index_t h, index_t w, index_t k,
-                             index_t oy, index_t pad, index_t wo,
-                             const float* bias) {
-    switch (nco) {
-      case 1: deconv2d_rowq_k<1>(in, wgt, wstride_ci, wstride_co, out,
-                 ostride_co, cin, h, w, k, oy, pad, wo, bias); break;
-      case 2: deconv2d_rowq_k<2>(in, wgt, wstride_ci, wstride_co, out,
-                 ostride_co, cin, h, w, k, oy, pad, wo, bias); break;
-      case 3: deconv2d_rowq_k<3>(in, wgt, wstride_ci, wstride_co, out,
-                 ostride_co, cin, h, w, k, oy, pad, wo, bias); break;
-      default: deconv2d_rowq_k<4>(in, wgt, wstride_ci, wstride_co, out,
-                 ostride_co, cin, h, w, k, oy, pad, wo, bias); break;
-    }
+    conv_rowq<true, false>(in, wgt, k * k * k, cin * k * k * k, out,
+                           ostride_co, nco, cin, d * h * w, nkz, h, w, k, oy,
+                           pad, wo, bias);
   }
 
   // ----- conv2d / deconv2d gradients --------------------------------
@@ -1169,38 +853,19 @@ struct Kernels {
     }
   }
 
-  template <bool FLIP>
-  static void grad_input_rowq_n(const float* go, index_t nj, index_t ho,
-                                index_t wo, const float* wgt,
-                                index_t wstride_j, index_t wstride_c,
-                                float* gin, index_t gin_cstride, int nc,
-                                index_t w, index_t k, index_t stride,
-                                index_t pad, index_t y) {
-    switch (nc) {
-      case 1: grad_input_rowq<FLIP, 1>(go, nj, ho, wo, wgt, wstride_j,
-                 wstride_c, gin, gin_cstride, w, k, stride, pad, y); break;
-      case 2: grad_input_rowq<FLIP, 2>(go, nj, ho, wo, wgt, wstride_j,
-                 wstride_c, gin, gin_cstride, w, k, stride, pad, y); break;
-      case 3: grad_input_rowq<FLIP, 3>(go, nj, ho, wo, wgt, wstride_j,
-                 wstride_c, gin, gin_cstride, w, k, stride, pad, y); break;
-      default: grad_input_rowq<FLIP, 4>(go, nj, ho, wo, wgt, wstride_j,
-                 wstride_c, gin, gin_cstride, w, k, stride, pad, y); break;
-    }
-  }
-
   static void grad_input_row4(const float* go, index_t nj, index_t ho,
                               index_t wo, const float* wgt,
                               index_t wstride_j, index_t wstride_c,
                               float* gin, index_t gin_cstride, int nc,
                               index_t w, index_t k, index_t stride,
                               index_t pad, index_t y, bool flip) {
-    if (flip) {
-      grad_input_rowq_n<true>(go, nj, ho, wo, wgt, wstride_j, wstride_c,
-                              gin, gin_cstride, nc, w, k, stride, pad, y);
-    } else {
-      grad_input_rowq_n<false>(go, nj, ho, wo, wgt, wstride_j, wstride_c,
-                               gin, gin_cstride, nc, w, k, stride, pad, y);
-    }
+    with_dir(flip, [&](auto fc) {
+      with_nco(nc, [&](auto ncc) {
+        grad_input_rowq<decltype(fc)::value, decltype(ncc)::value>(
+            go, nj, ho, wo, wgt, wstride_j, wstride_c, gin, gin_cstride, w,
+            k, stride, pad, y);
+      });
+    });
   }
 
   // Weight gradient, taps [kx0, kx0 + 4*NG) of filter row ky for NB
@@ -1351,16 +1016,11 @@ struct Kernels {
                            index_t b_cstride, int nb, index_t hb,
                            index_t wb, index_t n, index_t k, index_t stride,
                            index_t pad, float* gw) {
-    switch (nb) {
-      case 1: grad_weight_q<1>(a, a_nstride, ha, wa, b, b_nstride,
-                 b_cstride, hb, wb, n, k, stride, pad, gw); break;
-      case 2: grad_weight_q<2>(a, a_nstride, ha, wa, b, b_nstride,
-                 b_cstride, hb, wb, n, k, stride, pad, gw); break;
-      case 3: grad_weight_q<3>(a, a_nstride, ha, wa, b, b_nstride,
-                 b_cstride, hb, wb, n, k, stride, pad, gw); break;
-      default: grad_weight_q<4>(a, a_nstride, ha, wa, b, b_nstride,
-                 b_cstride, hb, wb, n, k, stride, pad, gw); break;
-    }
+    with_nco(nb, [&](auto nbc) {
+      grad_weight_q<decltype(nbc)::value>(a, a_nstride, ha, wa, b, b_nstride,
+                                          b_cstride, hb, wb, n, k, stride,
+                                          pad, gw);
+    });
   }
 
   static void scale_shift(const float* CCOVID_RESTRICT x,
@@ -1458,8 +1118,11 @@ struct Kernels {
   // interior blocks with per-channel accumulator chains, shared-source
   // scalar borders. Differences are the storage policy S (convert the
   // input on load) and V::fmadd instead of V::madd — the low-precision
-  // contract allows single-rounding FMA (see core/simd.h).
-  template <int NCO, int K, class S>
+  // contract allows single-rounding FMA (see core/simd.h). The hoisted
+  // and zero-padded row copies below hold each block's input span left
+  // to right, starting at its leftmost column lx0; deconv's reversed
+  // taps read them at kk-1-kx instead of kx.
+  template <int NCO, int K, class S, bool Deconv>
   static void lowp_conv2d_rowq_body(
       const typename S::elem* CCOVID_RESTRICT in,
       const float* CCOVID_RESTRICT wgt, index_t wstride_ci,
@@ -1467,24 +1130,38 @@ struct Kernels {
       index_t cin, index_t h, index_t w, index_t k, index_t oy,
       index_t pad, index_t wo, const float* CCOVID_RESTRICT bias) {
     const index_t kk = K > 0 ? index_t(K) : k;
-    const index_t ky0 = std::max<index_t>(0, pad - oy);
-    const index_t ky1 = std::min<index_t>(kk, h + pad - oy);
-    const index_t xlo = std::min<index_t>(pad, wo);
-    const index_t xhi =
-        std::max(xlo, std::min<index_t>(wo, w - kk + pad + 1));
+    index_t ky0, ky1, xlo, xhi;
+    if (Deconv) {
+      ky0 = std::max<index_t>(0, oy + pad - h + 1);
+      ky1 = std::min<index_t>(kk, oy + pad + 1);
+      xlo = std::min<index_t>(std::max<index_t>(0, kk - 1 - pad), wo);
+      xhi = std::max(xlo, std::min<index_t>(wo, w - pad));
+    } else {
+      ky0 = std::max<index_t>(0, pad - oy);
+      ky1 = std::min<index_t>(kk, h + pad - oy);
+      xlo = std::min<index_t>(pad, wo);
+      xhi = std::max(xlo, std::min<index_t>(wo, w - kk + pad + 1));
+    }
+    constexpr index_t step = Deconv ? -1 : 1;  // input step per tap
+    const index_t iy0 = Deconv ? oy + pad : oy - pad;
+    // Offset of tap kx's input column from the leftmost one a block
+    // reads.
+    const auto seg_off = [&](index_t kx) {
+      return Deconv ? kk - 1 - kx : kx;
+    };
     index_t ox = 0;
     for (; ox < xlo; ++ox) {
-      lowp_conv_point_q<NCO, S>(in, wgt, wstride_ci, wstride_co, out,
-                                ostride_co, cin, h, w, k, oy, ox, pad,
-                                bias);
+      lowp_conv_point_q<NCO, S, Deconv>(in, wgt, wstride_ci, wstride_co, out,
+                                        ostride_co, cin, h, w, k, oy, ox,
+                                        pad, bias);
     }
-    const index_t iy0 = oy - pad;
     for (; ox + 16 <= xhi; ox += 16) {
       v8 a0 = V::set1(bias[0]), b0 = a0;
       v8 a1 = NCO > 1 ? V::set1(bias[1]) : V::zero(), b1 = a1;
       v8 a2 = NCO > 2 ? V::set1(bias[2]) : V::zero(), b2 = a2;
       v8 a3 = NCO > 3 ? V::set1(bias[3]) : V::zero(), b3 = a3;
-      const index_t ix0 = ox - pad;
+      const index_t ix0 = Deconv ? ox + pad : ox - pad;
+      const index_t lx0 = Deconv ? ix0 - (kk - 1) : ix0;
       // Hoisted widening: the tap loop re-reads each row segment k
       // times at shifted offsets, so convert a CHUNK of channels to
       // fp32 up front and run the taps as pure f32 loads + FMA. The
@@ -1505,12 +1182,13 @@ struct Kernels {
           for (index_t ci = ci0; ci < ci1; ++ci) {
             const typename S::elem* inp = in + ci * h * w;
             for (index_t ky = ky0; ky < ky1; ++ky) {
-              const typename S::elem* row = inp + (iy0 + ky) * w + ix0;
+              const typename S::elem* base =
+                  inp + (iy0 + step * ky) * w + lx0;
               float* d = rb + ((ci - ci0) * nky + (ky - ky0)) * kSeg;
-              V::storeu(d, S::load8(row));
-              V::storeu(d + 8, S::load8(row + 8));
+              V::storeu(d, S::load8(base));
+              V::storeu(d + 8, S::load8(base + 8));
               for (index_t t = 16; t + 1 < 16 + kk; ++t) {
-                d[t] = S::load1(row + t);
+                d[t] = S::load1(base + t);
               }
             }
           }
@@ -1522,15 +1200,17 @@ struct Kernels {
           const float* w2 = w1 + wstride_co;
           const float* w3 = w2 + wstride_co;
           for (index_t ky = ky0; ky < ky1; ++ky) {
-            const typename S::elem* row = inp + (iy0 + ky) * w + ix0;
+            const typename S::elem* row =
+                inp + (iy0 + step * ky) * w + ix0;
             const float* seg =
                 rb + ((ci - ci0) * nky + (ky - ky0)) * kSeg;
             const index_t kb = ky * kk;
             #pragma GCC unroll 8
             for (index_t kx = 0; kx < kk; ++kx) {
-              const v8 v = hoist ? V::loadu(seg + kx) : S::load8(row + kx);
-              const v8 u =
-                  hoist ? V::loadu(seg + kx + 8) : S::load8(row + kx + 8);
+              const v8 v = hoist ? V::loadu(seg + seg_off(kx))
+                                 : S::load8(row + step * kx);
+              const v8 u = hoist ? V::loadu(seg + seg_off(kx) + 8)
+                                 : S::load8(row + step * kx + 8);
               const v8 wv0 = V::set1(w0[kb + kx]);
               a0 = V::fmadd(a0, v, wv0);
               b0 = V::fmadd(b0, u, wv0);
@@ -1573,7 +1253,7 @@ struct Kernels {
       v8 a1 = NCO > 1 ? V::set1(bias[1]) : V::zero();
       v8 a2 = NCO > 2 ? V::set1(bias[2]) : V::zero();
       v8 a3 = NCO > 3 ? V::set1(bias[3]) : V::zero();
-      const index_t ix0 = ox - pad;
+      const index_t ix0 = Deconv ? ox + pad : ox - pad;
       float rb[8 + 7];  // same hoist as the double-wide block
       const bool hoist = S::kHoist && kk <= 8;
       for (index_t ci = 0; ci < cin; ++ci) {
@@ -1583,17 +1263,20 @@ struct Kernels {
         const float* w2 = w1 + wstride_co;
         const float* w3 = w2 + wstride_co;
         for (index_t ky = ky0; ky < ky1; ++ky) {
-          const typename S::elem* row = inp + (iy0 + ky) * w + ix0;
+          const typename S::elem* row =
+              inp + (iy0 + step * ky) * w + ix0;
+          const typename S::elem* base = Deconv ? row - (kk - 1) : row;
           const index_t kb = ky * kk;
           if (hoist) {
-            V::storeu(rb, S::load8(row));
+            V::storeu(rb, S::load8(base));
             for (index_t t = 8; t + 1 < 8 + kk; ++t) {
-              rb[t] = S::load1(row + t);
+              rb[t] = S::load1(base + t);
             }
           }
           #pragma GCC unroll 8
           for (index_t kx = 0; kx < kk; ++kx) {
-            const v8 v = hoist ? V::loadu(rb + kx) : S::load8(row + kx);
+            const v8 v = hoist ? V::loadu(rb + seg_off(kx))
+                               : S::load8(row + step * kx);
             a0 = V::fmadd(a0, v, V::set1(w0[kb + kx]));
             if (NCO > 1) a1 = V::fmadd(a1, v, V::set1(w1[kb + kx]));
             if (NCO > 2) a2 = V::fmadd(a2, v, V::set1(w2[kb + kx]));
@@ -1619,208 +1302,7 @@ struct Kernels {
       v8 a1 = NCO > 1 ? V::set1(bias[1]) : V::zero();
       v8 a2 = NCO > 2 ? V::set1(bias[2]) : V::zero();
       v8 a3 = NCO > 3 ? V::set1(bias[3]) : V::zero();
-      const index_t ix0 = ox - pad;
-      float rb[16];
-      for (index_t ci = 0; ci < cin; ++ci) {
-        const typename S::elem* inp = in + ci * h * w;
-        const float* w0 = wgt + ci * wstride_ci;
-        const float* w1 = w0 + wstride_co;
-        const float* w2 = w1 + wstride_co;
-        const float* w3 = w2 + wstride_co;
-        for (index_t ky = ky0; ky < ky1; ++ky) {
-          const typename S::elem* row = inp + (iy0 + ky) * w + ix0;
-          const index_t kb = ky * kk;
-          const index_t live = n + kk - 1;
-          for (index_t t = 0; t < live; ++t) rb[t] = S::load1(row + t);
-          for (index_t t = live; t < 15; ++t) rb[t] = 0.0f;
-          #pragma GCC unroll 8
-          for (index_t kx = 0; kx < kk; ++kx) {
-            const v8 v = V::loadu(rb + kx);
-            a0 = V::fmadd(a0, v, V::set1(w0[kb + kx]));
-            if (NCO > 1) a1 = V::fmadd(a1, v, V::set1(w1[kb + kx]));
-            if (NCO > 2) a2 = V::fmadd(a2, v, V::set1(w2[kb + kx]));
-            if (NCO > 3) a3 = V::fmadd(a3, v, V::set1(w3[kb + kx]));
-          }
-        }
-      }
-      float tb[8];
-      V::storeu(tb, a0);
-      for (index_t j = 0; j < n; ++j) out[ox + j] = tb[j];
-      if (NCO > 1) {
-        V::storeu(tb, a1);
-        for (index_t j = 0; j < n; ++j) out[ostride_co + ox + j] = tb[j];
-      }
-      if (NCO > 2) {
-        V::storeu(tb, a2);
-        for (index_t j = 0; j < n; ++j)
-          out[2 * ostride_co + ox + j] = tb[j];
-      }
-      if (NCO > 3) {
-        V::storeu(tb, a3);
-        for (index_t j = 0; j < n; ++j)
-          out[3 * ostride_co + ox + j] = tb[j];
-      }
-      ox = xhi;
-    }
-    for (; ox < wo; ++ox) {
-      lowp_conv_point_q<NCO, S>(in, wgt, wstride_ci, wstride_co, out,
-                                ostride_co, cin, h, w, k, oy, ox, pad,
-                                bias);
-    }
-  }
-
-  template <int NCO, int K, class S>
-  static void lowp_deconv2d_rowq_body(
-      const typename S::elem* CCOVID_RESTRICT in,
-      const float* CCOVID_RESTRICT wgt, index_t wstride_ci,
-      index_t wstride_co, float* CCOVID_RESTRICT out, index_t ostride_co,
-      index_t cin, index_t h, index_t w, index_t k, index_t oy,
-      index_t pad, index_t wo, const float* CCOVID_RESTRICT bias) {
-    const index_t kk = K > 0 ? index_t(K) : k;
-    const index_t ky0 = std::max<index_t>(0, oy + pad - h + 1);
-    const index_t ky1 = std::min<index_t>(kk, oy + pad + 1);
-    const index_t xlo =
-        std::min<index_t>(std::max<index_t>(0, kk - 1 - pad), wo);
-    const index_t xhi = std::max(xlo, std::min<index_t>(wo, w - pad));
-    index_t ox = 0;
-    for (; ox < xlo; ++ox) {
-      lowp_deconv_point_q<NCO, S>(in, wgt, wstride_ci, wstride_co, out,
-                                  ostride_co, cin, h, w, k, oy, ox, pad,
-                                  bias);
-    }
-    for (; ox + 16 <= xhi; ox += 16) {
-      v8 a0 = V::set1(bias[0]), b0 = a0;
-      v8 a1 = NCO > 1 ? V::set1(bias[1]) : V::zero(), b1 = a1;
-      v8 a2 = NCO > 2 ? V::set1(bias[2]) : V::zero(), b2 = a2;
-      v8 a3 = NCO > 3 ? V::set1(bias[3]) : V::zero(), b3 = a3;
-      // Hoisted widening, mirrored for the reversed deconv taps: the
-      // span [row - (kk-1), row + 16) is exactly what the per-tap
-      // loads touched (see the conv body for the chunking rationale).
-      constexpr index_t kSeg = 24;
-      constexpr index_t kChunk = 8;
-      float rb[kChunk * 8 * kSeg];
-      const bool hoist = S::kHoist && kk <= 8;
-      const index_t nky = ky1 - ky0;
-      for (index_t ci0 = 0; ci0 < cin; ci0 += kChunk) {
-        const index_t ci1 = std::min<index_t>(cin, ci0 + kChunk);
-        if (hoist) {
-          for (index_t ci = ci0; ci < ci1; ++ci) {
-            const typename S::elem* inp = in + ci * h * w;
-            for (index_t ky = ky0; ky < ky1; ++ky) {
-              const typename S::elem* base =
-                  inp + (oy + pad - ky) * w + (ox + pad) - (kk - 1);
-              float* d = rb + ((ci - ci0) * nky + (ky - ky0)) * kSeg;
-              V::storeu(d, S::load8(base));
-              V::storeu(d + 8, S::load8(base + 8));
-              for (index_t t = 16; t + 1 < 16 + kk; ++t) {
-                d[t] = S::load1(base + t);
-              }
-            }
-          }
-        }
-        for (index_t ci = ci0; ci < ci1; ++ci) {
-          const typename S::elem* inp = in + ci * h * w;
-          const float* w0 = wgt + ci * wstride_ci;
-          const float* w1 = w0 + wstride_co;
-          const float* w2 = w1 + wstride_co;
-          const float* w3 = w2 + wstride_co;
-          for (index_t ky = ky0; ky < ky1; ++ky) {
-            const typename S::elem* row =
-                inp + (oy + pad - ky) * w + (ox + pad);
-            const float* seg =
-                rb + ((ci - ci0) * nky + (ky - ky0)) * kSeg;
-            const index_t kb = ky * kk;
-            #pragma GCC unroll 8
-            for (index_t kx = 0; kx < kk; ++kx) {
-              const v8 v = hoist ? V::loadu(seg + (kk - 1 - kx))
-                                 : S::load8(row - kx);
-              const v8 u = hoist ? V::loadu(seg + (kk - 1 - kx) + 8)
-                                 : S::load8(row - kx + 8);
-              const v8 wv0 = V::set1(w0[kb + kx]);
-              a0 = V::fmadd(a0, v, wv0);
-              b0 = V::fmadd(b0, u, wv0);
-              if (NCO > 1) {
-                const v8 wv1 = V::set1(w1[kb + kx]);
-                a1 = V::fmadd(a1, v, wv1);
-                b1 = V::fmadd(b1, u, wv1);
-              }
-              if (NCO > 2) {
-                const v8 wv2 = V::set1(w2[kb + kx]);
-                a2 = V::fmadd(a2, v, wv2);
-                b2 = V::fmadd(b2, u, wv2);
-              }
-              if (NCO > 3) {
-                const v8 wv3 = V::set1(w3[kb + kx]);
-                a3 = V::fmadd(a3, v, wv3);
-                b3 = V::fmadd(b3, u, wv3);
-              }
-            }
-          }
-        }
-      }
-      V::storeu(out + ox, a0);
-      V::storeu(out + ox + 8, b0);
-      if (NCO > 1) {
-        V::storeu(out + ostride_co + ox, a1);
-        V::storeu(out + ostride_co + ox + 8, b1);
-      }
-      if (NCO > 2) {
-        V::storeu(out + 2 * ostride_co + ox, a2);
-        V::storeu(out + 2 * ostride_co + ox + 8, b2);
-      }
-      if (NCO > 3) {
-        V::storeu(out + 3 * ostride_co + ox, a3);
-        V::storeu(out + 3 * ostride_co + ox + 8, b3);
-      }
-    }
-    for (; ox + 8 <= xhi; ox += 8) {
-      v8 a0 = V::set1(bias[0]);
-      v8 a1 = NCO > 1 ? V::set1(bias[1]) : V::zero();
-      v8 a2 = NCO > 2 ? V::set1(bias[2]) : V::zero();
-      v8 a3 = NCO > 3 ? V::set1(bias[3]) : V::zero();
-      float rb[8 + 7];  // same hoist as the double-wide block
-      const bool hoist = S::kHoist && kk <= 8;
-      for (index_t ci = 0; ci < cin; ++ci) {
-        const typename S::elem* inp = in + ci * h * w;
-        const float* w0 = wgt + ci * wstride_ci;
-        const float* w1 = w0 + wstride_co;
-        const float* w2 = w1 + wstride_co;
-        const float* w3 = w2 + wstride_co;
-        for (index_t ky = ky0; ky < ky1; ++ky) {
-          const typename S::elem* row =
-              inp + (oy + pad - ky) * w + (ox + pad);
-          const index_t kb = ky * kk;
-          const typename S::elem* base = row - (kk - 1);
-          if (hoist) {
-            V::storeu(rb, S::load8(base));
-            for (index_t t = 8; t + 1 < 8 + kk; ++t) {
-              rb[t] = S::load1(base + t);
-            }
-          }
-          #pragma GCC unroll 8
-          for (index_t kx = 0; kx < kk; ++kx) {
-            const v8 v =
-                hoist ? V::loadu(rb + (kk - 1 - kx)) : S::load8(row - kx);
-            a0 = V::fmadd(a0, v, V::set1(w0[kb + kx]));
-            if (NCO > 1) a1 = V::fmadd(a1, v, V::set1(w1[kb + kx]));
-            if (NCO > 2) a2 = V::fmadd(a2, v, V::set1(w2[kb + kx]));
-            if (NCO > 3) a3 = V::fmadd(a3, v, V::set1(w3[kb + kx]));
-          }
-        }
-      }
-      V::storeu(out + ox, a0);
-      if (NCO > 1) V::storeu(out + ostride_co + ox, a1);
-      if (NCO > 2) V::storeu(out + 2 * ostride_co + ox, a2);
-      if (NCO > 3) V::storeu(out + 3 * ostride_co + ox, a3);
-    }
-    if (ox < xhi && kk <= 8) {
-      // Partial-width interior tail, reversed-tap layout (see the conv
-      // body for the rationale and the bit-equality argument).
-      const index_t n = xhi - ox;  // 1..7 live columns
-      v8 a0 = V::set1(bias[0]);
-      v8 a1 = NCO > 1 ? V::set1(bias[1]) : V::zero();
-      v8 a2 = NCO > 2 ? V::set1(bias[2]) : V::zero();
-      v8 a3 = NCO > 3 ? V::set1(bias[3]) : V::zero();
+      const index_t lx0 = Deconv ? ox + pad - (kk - 1) : ox - pad;
       float rb[16];
       for (index_t ci = 0; ci < cin; ++ci) {
         const typename S::elem* inp = in + ci * h * w;
@@ -1830,14 +1312,14 @@ struct Kernels {
         const float* w3 = w2 + wstride_co;
         for (index_t ky = ky0; ky < ky1; ++ky) {
           const typename S::elem* base =
-              inp + (oy + pad - ky) * w + (ox + pad) - (kk - 1);
+              inp + (iy0 + step * ky) * w + lx0;
           const index_t kb = ky * kk;
           const index_t live = n + kk - 1;
           for (index_t t = 0; t < live; ++t) rb[t] = S::load1(base + t);
           for (index_t t = live; t < 15; ++t) rb[t] = 0.0f;
           #pragma GCC unroll 8
           for (index_t kx = 0; kx < kk; ++kx) {
-            const v8 v = V::loadu(rb + (kk - 1 - kx));
+            const v8 v = V::loadu(rb + seg_off(kx));
             a0 = V::fmadd(a0, v, V::set1(w0[kb + kx]));
             if (NCO > 1) a1 = V::fmadd(a1, v, V::set1(w1[kb + kx]));
             if (NCO > 2) a2 = V::fmadd(a2, v, V::set1(w2[kb + kx]));
@@ -1865,67 +1347,30 @@ struct Kernels {
       ox = xhi;
     }
     for (; ox < wo; ++ox) {
-      lowp_deconv_point_q<NCO, S>(in, wgt, wstride_ci, wstride_co, out,
-                                  ostride_co, cin, h, w, k, oy, ox, pad,
-                                  bias);
+      lowp_conv_point_q<NCO, S, Deconv>(in, wgt, wstride_ci, wstride_co, out,
+                                        ostride_co, cin, h, w, k, oy, ox,
+                                        pad, bias);
     }
   }
 
-  template <int NCO, class S, bool Deconv>
-  static void lowp_rowq_k(const typename S::elem* in, const float* wgt,
-                          index_t wstride_ci, index_t wstride_co,
-                          float* out, index_t ostride_co, index_t cin,
-                          index_t h, index_t w, index_t k, index_t oy,
-                          index_t pad, index_t wo, const float* bias) {
-    auto run = [&](auto kc) {
-      constexpr int K = decltype(kc)::value;
-      if (Deconv) {
-        lowp_deconv2d_rowq_body<NCO, K, S>(in, wgt, wstride_ci, wstride_co,
-                                           out, ostride_co, cin, h, w, k,
-                                           oy, pad, wo, bias);
-      } else {
-        lowp_conv2d_rowq_body<NCO, K, S>(in, wgt, wstride_ci, wstride_co,
-                                         out, ostride_co, cin, h, w, k, oy,
-                                         pad, wo, bias);
-      }
-    };
-    switch (k) {
-      case 1: run(std::integral_constant<int, 1>{}); break;
-      case 3: run(std::integral_constant<int, 3>{}); break;
-      case 5: run(std::integral_constant<int, 5>{}); break;
-      case 7: run(std::integral_constant<int, 7>{}); break;
-      default: run(std::integral_constant<int, 0>{}); break;
-    }
-  }
-
-  template <class S, bool Deconv>
+  // The quad entries of the low-precision contract: storage policy S,
+  // direction, channel count and extent become template arguments.
+  template <class S>
   static void lowp_row4(const typename S::elem* in, const float* wgt,
                         index_t wstride_ci, index_t wstride_co, float* out,
                         index_t ostride_co, int nco, index_t cin, index_t h,
                         index_t w, index_t k, index_t oy, index_t pad,
-                        index_t wo, const float* bias) {
-    switch (nco) {
-      case 1:
-        lowp_rowq_k<1, S, Deconv>(in, wgt, wstride_ci, wstride_co, out,
-                                  ostride_co, cin, h, w, k, oy, pad, wo,
-                                  bias);
-        break;
-      case 2:
-        lowp_rowq_k<2, S, Deconv>(in, wgt, wstride_ci, wstride_co, out,
-                                  ostride_co, cin, h, w, k, oy, pad, wo,
-                                  bias);
-        break;
-      case 3:
-        lowp_rowq_k<3, S, Deconv>(in, wgt, wstride_ci, wstride_co, out,
-                                  ostride_co, cin, h, w, k, oy, pad, wo,
-                                  bias);
-        break;
-      default:
-        lowp_rowq_k<4, S, Deconv>(in, wgt, wstride_ci, wstride_co, out,
-                                  ostride_co, cin, h, w, k, oy, pad, wo,
-                                  bias);
-        break;
-    }
+                        index_t wo, const float* bias, bool deconv) {
+    with_dir(deconv, [&](auto dc) {
+      with_nco(nco, [&](auto nc) {
+        with_k(k, [&](auto kc) {
+          lowp_conv2d_rowq_body<decltype(nc)::value, decltype(kc)::value, S,
+                                decltype(dc)::value>(
+              in, wgt, wstride_ci, wstride_co, out, ostride_co, cin, h, w, k,
+              oy, pad, wo, bias);
+        });
+      });
+    });
   }
 
   // ---- octet (up to 8 output channels) f32 fma row body ------------
@@ -1961,27 +1406,18 @@ struct Kernels {
       xlo = std::min<index_t>(pad, wo);
       xhi = std::max(xlo, std::min<index_t>(wo, w - kk + pad + 1));
     }
+    constexpr index_t step = Deconv ? -1 : 1;  // input step per tap
+    const index_t iy0 = Deconv ? oy + pad : oy - pad;
     // Border columns: the quartet point helpers, twice (channels 0..3
     // and 4..NCO-1) — bitwise the same fmaf chain per channel.
     const auto point = [&](index_t ox) {
-      if (Deconv) {
-        lowp_deconv_point_q<4, S>(in, wgt, wstride_ci, wstride_co, out,
-                                  ostride_co, cin, h, w, k, oy, ox, pad,
-                                  bias);
-        lowp_deconv_point_q<NCO - 4, S>(in, wgt + 4 * wstride_co,
-                                        wstride_ci, wstride_co,
-                                        out + 4 * ostride_co, ostride_co,
-                                        cin, h, w, k, oy, ox, pad,
-                                        bias + 4);
-      } else {
-        lowp_conv_point_q<4, S>(in, wgt, wstride_ci, wstride_co, out,
-                                ostride_co, cin, h, w, k, oy, ox, pad,
-                                bias);
-        lowp_conv_point_q<NCO - 4, S>(in, wgt + 4 * wstride_co, wstride_ci,
-                                      wstride_co, out + 4 * ostride_co,
-                                      ostride_co, cin, h, w, k, oy, ox,
-                                      pad, bias + 4);
-      }
+      lowp_conv_point_q<4, S, Deconv>(in, wgt, wstride_ci, wstride_co, out,
+                                      ostride_co, cin, h, w, k, oy, ox, pad,
+                                      bias);
+      lowp_conv_point_q<NCO - 4, S, Deconv>(
+          in, wgt + 4 * wstride_co, wstride_ci, wstride_co,
+          out + 4 * ostride_co, ostride_co, cin, h, w, k, oy, ox, pad,
+          bias + 4);
     };
     index_t ox = 0;
     for (; ox < xlo; ++ox) point(ox);
@@ -1994,18 +1430,16 @@ struct Kernels {
       v8 a5 = NCO > 5 ? V::set1(bias[5]) : V::zero();
       v8 a6 = NCO > 6 ? V::set1(bias[6]) : V::zero();
       v8 a7 = NCO > 7 ? V::set1(bias[7]) : V::zero();
+      const index_t ix0 = Deconv ? ox + pad : ox - pad;
       for (index_t ci = 0; ci < cin; ++ci) {
         const float* inp = in + ci * h * w;
         const float* wp = wgt + ci * wstride_ci;
         for (index_t ky = ky0; ky < ky1; ++ky) {
-          const float* row = Deconv
-                                 ? inp + (oy + pad - ky) * w + (ox + pad)
-                                 : inp + (oy - pad + ky) * w + (ox - pad);
+          const float* row = inp + (iy0 + step * ky) * w + ix0;
           const index_t kb = ky * kk;
           #pragma GCC unroll 8
           for (index_t kx = 0; kx < kk; ++kx) {
-            const v8 v =
-                Deconv ? V::loadu(row - kx) : V::loadu(row + kx);
+            const v8 v = V::loadu(row + step * kx);
             a0 = V::fmadd(a0, v, V::set1(wp[kb + kx]));
             a1 = V::fmadd(a1, v, V::set1(wp[wstride_co + kb + kx]));
             a2 = V::fmadd(a2, v, V::set1(wp[2 * wstride_co + kb + kx]));
@@ -2044,21 +1478,20 @@ struct Kernels {
       v8 a5 = NCO > 5 ? V::set1(bias[5]) : V::zero();
       v8 a6 = NCO > 6 ? V::set1(bias[6]) : V::zero();
       v8 a7 = NCO > 7 ? V::set1(bias[7]) : V::zero();
-      const index_t ix0 = Deconv ? (ox + pad - (kk - 1)) : (ox - pad);
+      const index_t lx0 = Deconv ? ox + pad - (kk - 1) : ox - pad;
       float rb[16];
       for (index_t ci = 0; ci < cin; ++ci) {
         const float* inp = in + ci * h * w;
         const float* wp = wgt + ci * wstride_ci;
         for (index_t ky = ky0; ky < ky1; ++ky) {
-          const index_t iy = Deconv ? (oy + pad - ky) : (oy - pad + ky);
-          const float* row = inp + iy * w + ix0;
+          const float* row = inp + (iy0 + step * ky) * w + lx0;
           const index_t kb = ky * kk;
           const index_t live = n + kk - 1;
           for (index_t t = 0; t < live; ++t) rb[t] = row[t];
           for (index_t t = live; t < 15; ++t) rb[t] = 0.0f;
           #pragma GCC unroll 8
           for (index_t kx = 0; kx < kk; ++kx) {
-            const v8 v = V::loadu(rb + (Deconv ? (kk - 1 - kx) : kx));
+            const v8 v = V::loadu(rb + (Deconv ? kk - 1 - kx : kx));
             a0 = V::fmadd(a0, v, V::set1(wp[kb + kx]));
             a1 = V::fmadd(a1, v, V::set1(wp[wstride_co + kb + kx]));
             a2 = V::fmadd(a2, v, V::set1(wp[2 * wstride_co + kb + kx]));
@@ -2100,27 +1533,12 @@ struct Kernels {
                        index_t ostride_co, int nco, index_t cin, index_t h,
                        index_t w, index_t k, index_t oy, index_t pad,
                        index_t wo, const float* bias) {
-    if (nco <= 4) {
-      lowp_row4<F32Src<V>, Deconv>(in, wgt, wstride_ci, wstride_co, out,
-                                   ostride_co, nco, cin, h, w, k, oy, pad,
-                                   wo, bias);
-      return;
-    }
     const auto run = [&](auto nc) {
-      constexpr int NCO = decltype(nc)::value;
-      const auto body = [&](auto kc) {
-        constexpr int K = decltype(kc)::value;
-        f32_row8_body<NCO, K, Deconv>(in, wgt, wstride_ci, wstride_co, out,
-                                      ostride_co, cin, h, w, k, oy, pad,
-                                      wo, bias);
-      };
-      switch (k) {
-        case 1: body(std::integral_constant<int, 1>{}); break;
-        case 3: body(std::integral_constant<int, 3>{}); break;
-        case 5: body(std::integral_constant<int, 5>{}); break;
-        case 7: body(std::integral_constant<int, 7>{}); break;
-        default: body(std::integral_constant<int, 0>{}); break;
-      }
+      with_k(k, [&](auto kc) {
+        f32_row8_body<decltype(nc)::value, decltype(kc)::value, Deconv>(
+            in, wgt, wstride_ci, wstride_co, out, ostride_co, cin, h, w, k,
+            oy, pad, wo, bias);
+      });
     };
     switch (nco) {
       case 5: run(std::integral_constant<int, 5>{}); break;
@@ -2135,83 +1553,18 @@ struct Kernels {
                                  float* out, index_t ostride_co, int nco,
                                  index_t cin, index_t h, index_t w,
                                  index_t k, index_t oy, index_t pad,
-                                 index_t wo, const float* bias) {
-    f32_row8<false>(in, wgt, wstride_ci, wstride_co, out, ostride_co, nco,
-                    cin, h, w, k, oy, pad, wo, bias);
-  }
-
-  static void deconv2d_row8_s1_fma(const float* in, const float* wgt,
-                                   index_t wstride_ci, index_t wstride_co,
-                                   float* out, index_t ostride_co, int nco,
-                                   index_t cin, index_t h, index_t w,
-                                   index_t k, index_t oy, index_t pad,
-                                   index_t wo, const float* bias) {
-    f32_row8<true>(in, wgt, wstride_ci, wstride_co, out, ostride_co, nco,
-                   cin, h, w, k, oy, pad, wo, bias);
-  }
-
-  static void conv2d_row4_s1_f16(const std::uint16_t* in, const float* wgt,
-                                 index_t wstride_ci, index_t wstride_co,
-                                 float* out, index_t ostride_co, int nco,
-                                 index_t cin, index_t h, index_t w,
-                                 index_t k, index_t oy, index_t pad,
-                                 index_t wo, const float* bias) {
-    lowp_row4<F16Src<V>, false>(in, wgt, wstride_ci, wstride_co, out,
-                                ostride_co, nco, cin, h, w, k, oy, pad, wo,
-                                bias);
-  }
-  static void deconv2d_row4_s1_f16(const std::uint16_t* in,
-                                   const float* wgt, index_t wstride_ci,
-                                   index_t wstride_co, float* out,
-                                   index_t ostride_co, int nco, index_t cin,
-                                   index_t h, index_t w, index_t k,
-                                   index_t oy, index_t pad, index_t wo,
-                                   const float* bias) {
-    lowp_row4<F16Src<V>, true>(in, wgt, wstride_ci, wstride_co, out,
-                               ostride_co, nco, cin, h, w, k, oy, pad, wo,
-                               bias);
-  }
-  static void conv2d_row4_s1_bf16(const std::uint16_t* in,
-                                  const float* wgt, index_t wstride_ci,
-                                  index_t wstride_co, float* out,
-                                  index_t ostride_co, int nco, index_t cin,
-                                  index_t h, index_t w, index_t k,
-                                  index_t oy, index_t pad, index_t wo,
-                                  const float* bias) {
-    lowp_row4<Bf16Src<V>, false>(in, wgt, wstride_ci, wstride_co, out,
-                                 ostride_co, nco, cin, h, w, k, oy, pad,
-                                 wo, bias);
-  }
-  static void deconv2d_row4_s1_bf16(const std::uint16_t* in,
-                                    const float* wgt, index_t wstride_ci,
-                                    index_t wstride_co, float* out,
-                                    index_t ostride_co, int nco,
-                                    index_t cin, index_t h, index_t w,
-                                    index_t k, index_t oy, index_t pad,
-                                    index_t wo, const float* bias) {
-    lowp_row4<Bf16Src<V>, true>(in, wgt, wstride_ci, wstride_co, out,
-                                ostride_co, nco, cin, h, w, k, oy, pad, wo,
-                                bias);
-  }
-  static void conv2d_row4_s1_fma(const float* in, const float* wgt,
-                                 index_t wstride_ci, index_t wstride_co,
-                                 float* out, index_t ostride_co, int nco,
-                                 index_t cin, index_t h, index_t w,
-                                 index_t k, index_t oy, index_t pad,
-                                 index_t wo, const float* bias) {
-    lowp_row4<F32Src<V>, false>(in, wgt, wstride_ci, wstride_co, out,
-                                ostride_co, nco, cin, h, w, k, oy, pad, wo,
-                                bias);
-  }
-  static void deconv2d_row4_s1_fma(const float* in, const float* wgt,
-                                   index_t wstride_ci, index_t wstride_co,
-                                   float* out, index_t ostride_co, int nco,
-                                   index_t cin, index_t h, index_t w,
-                                   index_t k, index_t oy, index_t pad,
-                                   index_t wo, const float* bias) {
-    lowp_row4<F32Src<V>, true>(in, wgt, wstride_ci, wstride_co, out,
-                               ostride_co, nco, cin, h, w, k, oy, pad, wo,
-                               bias);
+                                 index_t wo, const float* bias,
+                                 bool deconv) {
+    if (nco <= 4) {
+      lowp_row4<F32Src<V>>(in, wgt, wstride_ci, wstride_co, out, ostride_co,
+                           nco, cin, h, w, k, oy, pad, wo, bias, deconv);
+      return;
+    }
+    with_dir(deconv, [&](auto dc) {
+      f32_row8<decltype(dc)::value>(in, wgt, wstride_ci, wstride_co, out,
+                                    ostride_co, nco, cin, h, w, k, oy, pad,
+                                    wo, bias);
+    });
   }
 
   // Converting epilogue stores: the affine/activation expression is the
@@ -2328,10 +1681,8 @@ KernelTable make_table(const char* name) {
   t.name = name;
   t.sgemm_micro_4x8 = &Kernels<V>::sgemm_micro_4x8;
   t.conv2d_row_s1 = &Kernels<V>::conv2d_row_s1;
-  t.deconv2d_row_s1 = &Kernels<V>::deconv2d_row_s1;
   t.conv2d_row4_s1 = &Kernels<V>::conv2d_row4_s1;
   t.conv3d_row4_s1 = &Kernels<V>::conv3d_row4_s1;
-  t.deconv2d_row4_s1 = &Kernels<V>::deconv2d_row4_s1;
   t.grad_input_row4 = &Kernels<V>::grad_input_row4;
   t.grad_weight4 = &Kernels<V>::grad_weight4;
   t.scale_shift = &Kernels<V>::scale_shift;
@@ -2341,14 +1692,10 @@ KernelTable make_table(const char* name) {
   t.add_scalar = &Kernels<V>::add_scalar;
   t.cmul = &V::cmul;
   t.dot = &Kernels<V>::dot;
-  t.conv2d_row4_s1_f16 = &Kernels<V>::conv2d_row4_s1_f16;
-  t.deconv2d_row4_s1_f16 = &Kernels<V>::deconv2d_row4_s1_f16;
-  t.conv2d_row4_s1_bf16 = &Kernels<V>::conv2d_row4_s1_bf16;
-  t.deconv2d_row4_s1_bf16 = &Kernels<V>::deconv2d_row4_s1_bf16;
-  t.conv2d_row4_s1_fma = &Kernels<V>::conv2d_row4_s1_fma;
-  t.deconv2d_row4_s1_fma = &Kernels<V>::deconv2d_row4_s1_fma;
+  t.conv2d_row4_s1_f16 = &Kernels<V>::template lowp_row4<F16Src<V>>;
+  t.conv2d_row4_s1_bf16 = &Kernels<V>::template lowp_row4<Bf16Src<V>>;
+  t.conv2d_row4_s1_fma = &Kernels<V>::template lowp_row4<F32Src<V>>;
   t.conv2d_row8_s1_fma = &Kernels<V>::conv2d_row8_s1_fma;
-  t.deconv2d_row8_s1_fma = &Kernels<V>::deconv2d_row8_s1_fma;
   t.scale_shift_act_store_f16 = &Kernels<V>::scale_shift_act_store_f16;
   t.scale_shift_act_store_bf16 = &Kernels<V>::scale_shift_act_store_bf16;
   t.cvt_f32_to_f16 = &Kernels<V>::cvt_f32_to_f16;
@@ -2359,7 +1706,6 @@ KernelTable make_table(const char* name) {
   // bitwise-identical everywhere, so scalar/sse2 share it and only the
   // avx2 TU overrides these entries with vpmaddwd versions.
   t.conv2d_row4_s1_i8 = &conv2d_row4_s1_i8_generic;
-  t.deconv2d_row4_s1_i8 = &deconv2d_row4_s1_i8_generic;
   t.quant_epilogue_store_i8 = &quant_epilogue_store_i8_generic;
   t.dequant_epilogue_f32 = &dequant_epilogue_f32_generic;
   t.quant_f32_to_i8 = &quant_f32_to_i8_generic;

@@ -660,6 +660,10 @@ struct F32 {
     const ValueShape in = s.in_shape, o = s.out_shape;
     const index_t cin = in.c, cout = o.c, k = s.k, pad = s.pad;
     const index_t spatial = o.h * o.w;
+    // Filter slice strides: conv weights are (Cout, Cin, K, K), deconv
+    // weights (Cin, Cout, K, K).
+    const index_t wstride_ci = deconv ? cout * k * k : k * k;
+    const index_t wstride_co = deconv ? k * k : cin * k * k;
     const index_t ngroups = (cout + 3) / 4;
     parallel_for(
         0, o.n * ngroups,
@@ -670,20 +674,11 @@ struct F32 {
           const real_t* in_n = src + ni * cin * in.h * in.w;
           real_t* out_p = yf + (ni * cout + co0) * spatial;
           const real_t* bias_p = s.bias.data() + co0;
-          if (deconv) {
-            for (index_t oy = 0; oy < o.h; ++oy) {
-              kt.deconv2d_row4_s1(in_n, wp + co0 * k * k, cout * k * k,
-                                  k * k, out_p + oy * o.w, spatial, nco,
-                                  cin, in.h, in.w, k, oy, pad, o.w,
-                                  bias_p);
-            }
-          } else {
-            for (index_t oy = 0; oy < o.h; ++oy) {
-              kt.conv2d_row4_s1(in_n, wp + co0 * cin * k * k, k * k,
-                                cin * k * k, out_p + oy * o.w, spatial,
-                                nco, cin, in.h, in.w, k, oy, pad, o.w,
-                                bias_p);
-            }
+          for (index_t oy = 0; oy < o.h; ++oy) {
+            kt.conv2d_row4_s1(in_n, wp + co0 * wstride_co, wstride_ci,
+                              wstride_co, out_p + oy * o.w, spatial, nco,
+                              cin, in.h, in.w, k, oy, pad, o.w, bias_p,
+                              deconv);
           }
           if (s.has_affine || s.inorm) {
             // The fused epilogue: bn (+ activation) applied in place on
@@ -741,9 +736,7 @@ struct Half {
   // fmadd order). Jobs run over (n, octet, 16-row band), so even the
   // 8/16-channel layers split into enough jobs to fill every lane.
   void conv(const Step& s, const Elem* src, Elem* dst, real_t* yf) const {
-    const auto row =
-        s.kind == OpKind::kDeconv2d ? kt.deconv2d_row8_s1_fma
-                                    : kt.conv2d_row8_s1_fma;
+    const bool deconv = s.kind == OpKind::kDeconv2d;
     const ValueShape in = s.in_shape, o = s.out_shape;
     const index_t cin = in.c, cout = o.c, k = s.k, pad = s.pad;
     const index_t spatial = o.h * o.w, in_hw = in.h * in.w;
@@ -782,9 +775,10 @@ struct Half {
             }
           }
           for (index_t oy = jb.oy0; oy < jb.oy1; ++oy) {
-            row(band, wbuf, k * k, cin * k * k, acc + (oy - jb.oy0) * o.w,
-                ostride, nco, cin, bh, in.w, k, oy - by0, pad, o.w,
-                s.bias.data() + jb.co0);
+            kt.conv2d_row8_s1_fma(band, wbuf, k * k, cin * k * k,
+                                  acc + (oy - jb.oy0) * o.w, ostride, nco,
+                                  cin, bh, in.w, k, oy - by0, pad, o.w,
+                                  s.bias.data() + jb.co0, deconv);
           }
           for (int j = 0; j < nco; ++j) {
             real_t* a = acc + j * ostride;
@@ -848,8 +842,7 @@ struct Int8 {
   // fp32 and requantizes to the consumer's scale (or stores the fp32
   // graph output).
   void conv(const Step& s, const Elem* src, Elem* dst, real_t* yf) const {
-    const auto row = s.kind == OpKind::kDeconv2d ? kt.deconv2d_row4_s1_i8
-                                                 : kt.conv2d_row4_s1_i8;
+    const bool deconv = s.kind == OpKind::kDeconv2d;
     const ValueShape in = s.in_shape, o = s.out_shape;
     const index_t cout = o.c, k = s.k;
     const index_t hw_i = in.h * in.w, spatial = o.h * o.w;
@@ -870,8 +863,9 @@ struct Int8 {
           const Elem* in_n = src + jb.ni * cinp * hw_i * 2;
           const std::int16_t* wg = s.wq.data() + jb.co0 * wstride_co;
           for (index_t oy = jb.oy0; oy < jb.oy1; ++oy) {
-            row(in_n, wg, wstride_co, acc + (oy - jb.oy0) * o.w, count, nco,
-                cinp, in.h, in.w, k, oy, s.pad, o.w);
+            kt.conv2d_row4_s1_i8(in_n, wg, wstride_co,
+                                 acc + (oy - jb.oy0) * o.w, count, nco, cinp,
+                                 in.h, in.w, k, oy, s.pad, o.w, deconv);
           }
           if (yf) {
             for (int j = 0; j < nco; ++j) {

@@ -172,7 +172,7 @@ Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
           // bitwise on every backend.
           for (index_t oy = 0; oy < ho; ++oy) {
             kt.conv2d_row_s1(in_n, w_co, k * k, out_p + oy * wo, cin, h,
-                             w, k, oy, p.pad, wo, bias_v);
+                             w, k, oy, p.pad, wo, bias_v, /*deconv=*/false);
           }
           return;
         }

@@ -126,11 +126,6 @@ void deconv_gather_plane(const real_t* CCOVID_RESTRICT in,
   }
 }
 
-// The stride-1 unrolled gather kernel moved into the SIMD layer
-// (simd::KernelTable::deconv2d_row_s1): the fixed-K index collapse the
-// paper attributes to "vectorization" is now literal — 8 output pixels
-// per vector with no division or modulo in the hot loop.
-
 }  // namespace
 
 index_t deconv_out_extent(index_t in, index_t ksize, index_t stride,
@@ -179,9 +174,9 @@ Tensor deconv2d(const Tensor& input, const Tensor& weight,
           // kernel. Weight slices for this co start at co*k*k and are
           // cout*k*k apart per ci.
           for (index_t oy = 0; oy < ho; ++oy) {
-            kt.deconv2d_row_s1(in_n, wp + co * k * k, cout * k * k,
-                               out_p + oy * wo, cin, h, w, k, oy, p.pad,
-                               wo, bias_v);
+            kt.conv2d_row_s1(in_n, wp + co * k * k, cout * k * k,
+                             out_p + oy * wo, cin, h, w, k, oy, p.pad, wo,
+                             bias_v, /*deconv=*/true);
           }
           return;
         }

@@ -9,8 +9,11 @@
 // allocations) are covered alongside.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "autograd/engine.h"
@@ -299,6 +302,29 @@ TEST(AutogradEngine, FinalizeHookFiresOncePerReachableNode) {
           << "reachable node finalized != once at width " << width;
     }
   }
+}
+
+// on_complete runs "before any waiter wakes": wait() may return only
+// after the hook itself returned, since DDP's hook touches caller-owned
+// bucket state that the caller tears down once wait() returns. The
+// hook outlasts the drain by far, so a wait() keyed on the drain alone
+// returns while the hook still sleeps.
+TEST(AutogradEngine, WaitReturnsOnlyAfterOnCompleteReturned) {
+  ParallelPin pin(4);
+  std::vector<Var> leaves;
+  Var root = build_random_graph(11, leaves);
+  std::atomic<bool> hook_done{false};
+  BackwardOptions opts;
+  opts.on_complete = [&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    hook_done.store(true);
+  };
+  BackwardRun run =
+      backward_start(root.impl(), Tensor::ones(root.shape()), opts);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  run.wait();
+  EXPECT_TRUE(hook_done.load()) << "wait() returned before on_complete did";
+  EXPECT_TRUE(run.finished());
 }
 
 }  // namespace

@@ -320,29 +320,28 @@ void run_lowp_conv(const simd::KernelTable* kt, int fmt,
     float* orow = out + oy * cs.w;
     switch (fmt) {
       case 0:
-        (cs.deconv ? kt->deconv2d_row4_s1_f16 : kt->conv2d_row4_s1_f16)(
+        kt->conv2d_row4_s1_f16(
             in_h.data(), wgt.data(), cs.k * cs.k, cs.cin * cs.k * cs.k,
             orow, spatial, cs.nco, cs.cin, h, cs.w, cs.k, oy, pad, cs.w,
-            bias.data());
+            bias.data(), cs.deconv);
         break;
       case 1:
-        (cs.deconv ? kt->deconv2d_row4_s1_bf16
-                   : kt->conv2d_row4_s1_bf16)(
+        kt->conv2d_row4_s1_bf16(
             in_h.data(), wgt.data(), cs.k * cs.k, cs.cin * cs.k * cs.k,
             orow, spatial, cs.nco, cs.cin, h, cs.w, cs.k, oy, pad, cs.w,
-            bias.data());
+            bias.data(), cs.deconv);
         break;
       case 2:
-        (cs.deconv ? kt->deconv2d_row4_s1_fma : kt->conv2d_row4_s1_fma)(
+        kt->conv2d_row4_s1_fma(
             in_w.data(), wgt.data(), cs.k * cs.k, cs.cin * cs.k * cs.k,
             orow, spatial, cs.nco, cs.cin, h, cs.w, cs.k, oy, pad, cs.w,
-            bias.data());
+            bias.data(), cs.deconv);
         break;
       default:
-        (cs.deconv ? kt->deconv2d_row8_s1_fma : kt->conv2d_row8_s1_fma)(
+        kt->conv2d_row8_s1_fma(
             in_w.data(), wgt.data(), cs.k * cs.k, cs.cin * cs.k * cs.k,
             orow, spatial, cs.nco, cs.cin, h, cs.w, cs.k, oy, pad, cs.w,
-            bias.data());
+            bias.data(), cs.deconv);
     }
   }
 }
@@ -440,13 +439,12 @@ TEST(LowpConvKernels, OctetKernelMatchesTwoQuartetCalls) {
 
           std::vector<float> want(8 * spatial, -777.0f);
           for (index_t oy = 0; oy < h; ++oy) {
-            const auto q = deconv ? ref->deconv2d_row4_s1_fma
-                                  : ref->conv2d_row4_s1_fma;
+            const auto q = ref->conv2d_row4_s1_fma;
             q(src.data(), wgt.data(), k * k, wsco, want.data() + oy * w,
-              spatial, 4, cin, h, w, k, oy, pad, w, bias.data());
+              spatial, 4, cin, h, w, k, oy, pad, w, bias.data(), deconv);
             q(src.data(), wgt.data() + 4 * wsco, k * k, wsco,
               want.data() + 4 * spatial + oy * w, spatial, nco - 4, cin,
-              h, w, k, oy, pad, w, bias.data() + 4);
+              h, w, k, oy, pad, w, bias.data() + 4, deconv);
           }
           for (const simd::Backend be : available_backends()) {
             const simd::KernelTable* kt = simd::table_for(be);
@@ -507,20 +505,18 @@ TEST(LowpConvKernels, Int8KernelsMatchAcrossBackends) {
 
             std::vector<std::int32_t> want(4 * spatial, -777);
             for (index_t oy = 0; oy < h; ++oy) {
-              (deconv ? ref->deconv2d_row4_s1_i8
-                      : ref->conv2d_row4_s1_i8)(
-                  in.data(), wgt.data(), wsco, want.data() + oy * w,
-                  spatial, nco, cinp, h, w, k, oy, pad, w);
+              ref->conv2d_row4_s1_i8(in.data(), wgt.data(), wsco,
+                                     want.data() + oy * w, spatial, nco,
+                                     cinp, h, w, k, oy, pad, w, deconv);
             }
             for (const simd::Backend be : available_backends()) {
               const simd::KernelTable* kt = simd::table_for(be);
               SCOPED_TRACE(simd::backend_name(be));
               std::vector<std::int32_t> got(4 * spatial, -777);
               for (index_t oy = 0; oy < h; ++oy) {
-                (deconv ? kt->deconv2d_row4_s1_i8
-                        : kt->conv2d_row4_s1_i8)(
-                    in.data(), wgt.data(), wsco, got.data() + oy * w,
-                    spatial, nco, cinp, h, w, k, oy, pad, w);
+                kt->conv2d_row4_s1_i8(in.data(), wgt.data(), wsco,
+                                      got.data() + oy * w, spatial, nco,
+                                      cinp, h, w, k, oy, pad, w, deconv);
               }
               EXPECT_EQ(std::memcmp(want.data(), got.data(),
                                     want.size() * 4),
