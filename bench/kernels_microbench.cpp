@@ -32,7 +32,6 @@
 #include "metrics/image_quality.h"
 #include "nn/ddnet.h"
 #include "nn/densenet3d.h"
-#include "ops/gemm.h"
 #include "ops/ops.h"
 #include "trace/export.h"
 #include "trace/trace.h"
@@ -123,28 +122,6 @@ void BM_Deconv2d(benchmark::State& state, ops::KernelOptions opt) {
         ops::deconv2d(x, w, b, ops::Deconv2dParams::same(5), opt));
   }
   state.SetItemsProcessed(state.iterations() * hw * hw * 16 * 16 * 25 * 2);
-}
-
-void BM_Conv2dGemm(benchmark::State& state) {
-  const index_t hw = state.range(0);
-  const Tensor x = random_tensor({1, 16, hw, hw}, 1);
-  const Tensor w = random_tensor({16, 16, 5, 5}, 2);
-  const Tensor b = random_tensor({16}, 3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ops::conv2d_gemm(x, w, b, ops::Conv2dParams::same(5)));
-  }
-  state.SetItemsProcessed(state.iterations() * hw * hw * 16 * 16 * 25 * 2);
-}
-
-void BM_Sgemm(benchmark::State& state) {
-  const index_t n = state.range(0);
-  const Tensor a = random_tensor({n, n}, 4);
-  const Tensor b = random_tensor({n, n}, 5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ops::matmul(a, b));
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n * 2);
 }
 
 void BM_MaxPool2d(benchmark::State& state) {
@@ -279,8 +256,6 @@ int run_scaling_sweep(const std::string& path, bool trace_on) {
   const Tensor cx = random_tensor({1, 16, 64, 64}, 1);
   const Tensor cw = random_tensor({16, 16, 5, 5}, 2);
   const Tensor cb = random_tensor({16}, 3);
-  const Tensor ga = random_tensor({128, 128}, 4);
-  const Tensor gb = random_tensor({128, 128}, 5);
   const ct::FanBeamGeometry geom = ct::paper_geometry().scaled(64);
   const Tensor mu = random_tensor({64, 64}, 10);
   const Tensor sino = ct::forward_project(mu, geom);
@@ -328,13 +303,6 @@ int run_scaling_sweep(const std::string& path, bool trace_on) {
                           cx, cw, cb, ops::Deconv2dParams::same(5),
                           ops::KernelOptions::all()));
                     })});
-    rows.push_back({"conv2d_gemm_64", t, time_ns_per_iter([&] {
-                      benchmark::DoNotOptimize(ops::conv2d_gemm(
-                          cx, cw, cb, ops::Conv2dParams::same(5)));
-                    })});
-    rows.push_back({"sgemm_128", t, time_ns_per_iter([&] {
-                      benchmark::DoNotOptimize(ops::matmul(ga, gb));
-                    })});
     rows.push_back({"siddon_forward_64", t, time_ns_per_iter([&] {
                       benchmark::DoNotOptimize(
                           ct::forward_project(mu, geom));
@@ -372,13 +340,6 @@ int run_scaling_sweep(const std::string& path, bool trace_on) {
       if (!simd::backend_available(be)) continue;
       simd::set_backend(be);
       const std::string suffix = std::string("_simd_") + simd::backend_name(be);
-      rows.push_back({"sgemm_128" + suffix, 1, time_ns_per_iter([&] {
-                        benchmark::DoNotOptimize(ops::matmul(ga, gb));
-                      })});
-      rows.push_back({"conv2d_gemm_64" + suffix, 1, time_ns_per_iter([&] {
-                        benchmark::DoNotOptimize(ops::conv2d_gemm(
-                            cx, cw, cb, ops::Conv2dParams::same(5)));
-                      })});
       rows.push_back({"conv2d_unrolled_64" + suffix, 1, time_ns_per_iter([&] {
                         benchmark::DoNotOptimize(ops::conv2d(
                             cx, cw, cb, ops::Conv2dParams::same(5),
@@ -583,47 +544,6 @@ int run_lowprec_sweep(const std::string& path) {
   return 0;
 }
 
-void BM_SgemmThreads(benchmark::State& state) {
-  const Tensor a = random_tensor({128, 128}, 4);
-  const Tensor b = random_tensor({128, 128}, 5);
-  ParallelPin pin(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ops::matmul(a, b));
-  }
-  state.SetItemsProcessed(state.iterations() * 128 * 128 * 128 * 2);
-}
-
-void BM_SgemmSimd(benchmark::State& state, simd::Backend be) {
-  if (!simd::backend_available(be)) {
-    state.SkipWithError("backend unavailable on this CPU/build");
-    return;
-  }
-  const simd::Backend prev = simd::set_backend(be);
-  const Tensor a = random_tensor({128, 128}, 4);
-  const Tensor b = random_tensor({128, 128}, 5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ops::matmul(a, b));
-  }
-  state.SetItemsProcessed(state.iterations() * 128 * 128 * 128 * 2);
-  simd::set_backend(prev);
-}
-
-void BM_Conv2dGemmSimd(benchmark::State& state, simd::Backend be) {
-  if (!simd::backend_available(be)) {
-    state.SkipWithError("backend unavailable on this CPU/build");
-    return;
-  }
-  const simd::Backend prev = simd::set_backend(be);
-  const Tensor x = random_tensor({1, 16, 64, 64}, 1);
-  const Tensor w = random_tensor({16, 16, 5, 5}, 2);
-  const Tensor b = random_tensor({16}, 3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ops::conv2d_gemm(x, w, b, ops::Conv2dParams::same(5)));
-  }
-  simd::set_backend(prev);
-}
-
 void BM_Conv2dThreads(benchmark::State& state) {
   const Tensor x = random_tensor({1, 16, 64, 64}, 1);
   const Tensor w = random_tensor({16, 16, 5, 5}, 2);
@@ -682,8 +602,6 @@ BENCHMARK_CAPTURE(BM_Deconv2d, gather_refactored,
     ->Arg(32)->Arg(64);
 BENCHMARK_CAPTURE(BM_Deconv2d, gather_unrolled, ops::KernelOptions::all())
     ->Arg(32)->Arg(64);
-BENCHMARK(BM_Conv2dGemm)->Arg(32)->Arg(64);
-BENCHMARK(BM_Sgemm)->Arg(64)->Arg(128);
 BENCHMARK(BM_MaxPool2d)->Arg(64)->Arg(128);
 BENCHMARK(BM_Unpool2d)->Arg(32)->Arg(64);
 BENCHMARK(BM_BatchNormInfer)->Arg(64)->Arg(128);
@@ -691,17 +609,10 @@ BENCHMARK(BM_SiddonProjection)->Arg(32)->Arg(64);
 BENCHMARK(BM_FbpReconstruct)->Arg(32)->Arg(64);
 BENCHMARK(BM_MsSsim)->Arg(64)->Arg(128);
 BENCHMARK(BM_RingAllReduce)->Arg(2)->Arg(4);
-BENCHMARK(BM_SgemmThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_Conv2dThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_Conv3dStem)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_DenseNet3dForward)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_DdnetBackward)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-BENCHMARK_CAPTURE(BM_SgemmSimd, scalar, simd::Backend::kScalar);
-BENCHMARK_CAPTURE(BM_SgemmSimd, sse2, simd::Backend::kSse2);
-BENCHMARK_CAPTURE(BM_SgemmSimd, avx2, simd::Backend::kAvx2);
-BENCHMARK_CAPTURE(BM_Conv2dGemmSimd, scalar, simd::Backend::kScalar);
-BENCHMARK_CAPTURE(BM_Conv2dGemmSimd, sse2, simd::Backend::kSse2);
-BENCHMARK_CAPTURE(BM_Conv2dGemmSimd, avx2, simd::Backend::kAvx2);
 
 // Custom main so `--scaling-json PATH` can bypass google-benchmark and
 // run the JSON-emitting sweep instead.

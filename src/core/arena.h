@@ -1,7 +1,8 @@
 // Per-thread scratch arenas for kernel workspace.
 //
-// Hot kernels (im2col staging, GEMM panel packing, FBP filtering rows)
-// need short-lived buffers whose size repeats every call. Allocating
+// Hot kernels (FBP filtering rows, the low-precision conv jobs' widened
+// input bands, compiled-graph slabs) need short-lived buffers whose size
+// repeats every call. Allocating
 // them from the heap per call costs a lock + page faults; a bump arena
 // costs two pointer adjustments and, after the first call warmed the
 // chunk up, takes no fresh block. That is the arena's half of the
@@ -24,9 +25,10 @@
 //    interleave across threads: each thread has its own arena, and a
 //    parallel_for body that needs scratch opens its OWN ArenaScope so
 //    the allocation lands in the executing worker's arena;
-//  * a buffer allocated by the master BEFORE a parallel_for (e.g. the
-//    shared im2col staging area) may be read/written by workers inside
-//    the loop — the arena only dictates who frees, not who touches.
+//  * a buffer allocated by the master BEFORE a parallel_for (e.g. a
+//    compiled graph's activation slabs) may be read/written by workers
+//    inside the loop — the arena only dictates who frees, not who
+//    touches.
 //
 // While scratch is live, chunks grow geometrically. A request that finds
 // the arena EMPTY and fits no chunk instead replaces every chunk with

@@ -21,7 +21,7 @@
 // across task-engine widths. Two rules make that hold:
 //
 //  1. Per-output vectorization preserves scalar order. Kernels assign
-//     one OUTPUT element per lane (8 output pixels, 8 GEMM columns);
+//     one OUTPUT element per lane (8 output pixels of one row);
 //     each lane accumulates its own taps in exactly the order the
 //     scalar code does. `madd(acc, a, b)` is specified as acc + (a*b)
 //     with TWO roundings — hardware FMA contraction is deliberately
@@ -82,12 +82,6 @@ struct QuantEpilogueParams {
 /// backends; they are trivial wrappers over the lane primitives.
 struct KernelTable {
   const char* name;  // "scalar" / "sse2" / "avx2"
-
-  /// C[0..4)x[0..8) += A (4 x kc, row stride lda) * B packed (kc x 8,
-  /// unit-stride rows). Lane j accumulates column j sequentially over
-  /// the K dimension — identical order to the scalar microkernel.
-  void (*sgemm_micro_4x8)(const float* a, index_t lda, const float* bpack,
-                          float* c, index_t ldc, index_t kc);
 
   // ----- 2-D forward rows ------------------------------------------
   //
@@ -217,52 +211,26 @@ struct KernelTable {
   // THE LOW-PRECISION NUMERIC CONTRACT. The kernels below define a NEW
   // deterministic contract, separate from the fp32 one: activations
   // (and, at the executor level, weights) are STORED in fp16/bf16/int8
-  // and converted to fp32/int32 in registers on load; accumulation is
-  // fp32 with SINGLE-rounding fused multiply-add (scalar backends use
-  // std::fmaf, which is correctly rounded and therefore bitwise equal
-  // to VFMADD*) for the half formats, and exact int32 for int8. The
+  // and widened for the taps: half formats to fp32 copies before the
+  // row runs, int8 in registers. Accumulation is fp32 with
+  // SINGLE-rounding fused multiply-add (scalar backends use std::fmaf,
+  // which is correctly rounded and therefore bitwise equal to VFMADD*)
+  // for the half formats, and exact int32 for int8. The
   // two-roundings rule of the fp32 contract exists to match historical
   // scalar digests; the low-precision paths have no history to match,
   // so they take the FMA throughput win — per-precision golden digests
   // pin THEIR bits across backends and widths instead.
 
-  /// conv2d_row4_s1 with fp16/bf16-stored input activations: same
-  /// contract and argument order, input elements converted on load
-  /// (F16C / scalar bit-exact equivalent), fp32 weights/bias/output,
-  /// fp32 accumulation via single-rounding fmadd.
-  void (*conv2d_row4_s1_f16)(const std::uint16_t* in, const float* wgt,
-                             index_t wstride_ci, index_t wstride_co,
-                             float* out, index_t ostride_co, int nco,
-                             index_t cin, index_t h, index_t w, index_t k,
-                             index_t oy, index_t pad, index_t wo,
-                             const float* bias, bool deconv);
-  void (*conv2d_row4_s1_bf16)(const std::uint16_t* in, const float* wgt,
-                              index_t wstride_ci, index_t wstride_co,
-                              float* out, index_t ostride_co, int nco,
-                              index_t cin, index_t h, index_t w, index_t k,
-                              index_t oy, index_t pad, index_t wo,
-                              const float* bias, bool deconv);
-
-  /// The same single-rounding-FMA accumulation over an ALREADY-WIDENED
-  /// fp32 input plane. Widening fp16/bf16 to fp32 is elementwise-exact,
-  /// so calling this on a converted copy of the input produces bitwise
-  /// the bits of conv2d_row4_s1_f16/_bf16 on the stored plane.
-  /// NOT interchangeable with conv2d_row4_s1 (that one keeps the
-  /// two-roundings fp32 contract; this one fuses).
-  void (*conv2d_row4_s1_fma)(const float* in, const float* wgt,
-                             index_t wstride_ci, index_t wstride_co,
-                             float* out, index_t ostride_co, int nco,
-                             index_t cin, index_t h, index_t w, index_t k,
-                             index_t oy, index_t pad, index_t wo,
-                             const float* bias, bool deconv);
-
-  /// Octet variant of the _fma row kernel: nco up to 8 output channels
-  /// per input pass (nco <= 4 falls through to the quartet body) — the
-  /// graph executor widens each band of input once and runs this.
-  /// Regrouping output channels never changes a channel's own
-  /// (ci, ky, kx) fmadd order, so the bits match conv2d_row4_s1_fma
-  /// exactly; the point is halving the number of passes over the
-  /// widened input for the memory-bound co=8 DDnet dense-layer convs.
+  /// The half formats' conv row: one stride-1 output row for `nco`
+  /// (1..8) consecutive output channels, arguments as conv2d_row4_s1.
+  /// The graph executor widens fp16/bf16 activations and weights to fp32
+  /// (elementwise-exact) and runs this on the copies. Each output starts
+  /// from its bias and takes one single-rounding fmadd per tap in
+  /// ascending (ci, ky, kx) order, so it is NOT interchangeable with
+  /// conv2d_row4_s1, which keeps the two-roundings fp32 contract. Up to
+  /// eight accumulators share each input load (nco <= 4 runs a quad
+  /// body): the co=8 DDnet dense-layer convs are memory-bound, and
+  /// grouping output channels never changes a channel's own order.
   void (*conv2d_row8_s1_fma)(const float* in, const float* wgt,
                              index_t wstride_ci, index_t wstride_co,
                              float* out, index_t ostride_co, int nco,

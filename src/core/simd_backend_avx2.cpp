@@ -88,17 +88,6 @@ struct Avx2V {
     for (int j = 0; j < 8; ++j) p[j] = f32_to_f16_bits_ftz(buf[j]);
 #endif
   }
-  static float load1_f16(const std::uint16_t* p) {
-#if defined(__F16C__)
-    // Branch-free hardware convert for the scalar border taps; the
-    // software converter's zero/subnormal early-outs mispredict badly
-    // on post-ReLU activations.
-    return _mm_cvtss_f32(
-        _mm_cvtph_ps(_mm_cvtsi32_si128(static_cast<int>(*p))));
-#else
-    return f16_bits_to_f32(*p);
-#endif
-  }
   static v8 loadu_bf16(const std::uint16_t* p) {
     const __m128i h = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
     return _mm256_castsi256_ps(

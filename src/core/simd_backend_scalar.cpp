@@ -84,9 +84,6 @@ struct ScalarV {
     for (int j = 0; j < 8; ++j) r.l[j] = f16_bits_to_f32(p[j]);
     return r;
   }
-  static float load1_f16(const std::uint16_t* p) {
-    return f16_bits_to_f32(*p);
-  }
   static v8 loadu_bf16(const std::uint16_t* p) {
     v8 r;
     for (int j = 0; j < 8; ++j) r.l[j] = bf16_bits_to_f32(p[j]);

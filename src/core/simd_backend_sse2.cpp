@@ -75,9 +75,6 @@ struct Sse2V {
     for (int j = 0; j < 8; ++j) buf[j] = f16_bits_to_f32(p[j]);
     return loadu(buf);
   }
-  static float load1_f16(const std::uint16_t* p) {
-    return f16_bits_to_f32(*p);
-  }
   static v8 loadu_bf16(const std::uint16_t* p) {
     float buf[8];
     for (int j = 0; j < 8; ++j) buf[j] = bf16_bits_to_f32(p[j]);

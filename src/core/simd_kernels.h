@@ -374,114 +374,10 @@ inline void dequant_i8_to_f32_generic(const std::int8_t* in, float* x0,
   }
 }
 
-// Storage policies for the half-precision row kernels: how one lane /
-// one vector of stored elements becomes fp32. The scalar load1 paths
-// are bit-exact images of the vector load8 paths (core/half.h matches
-// the F16C instructions), so border columns and interiors agree.
-template <class V>
-struct F16Src {
-  using elem = std::uint16_t;
-  // Converting sources re-read each row segment k times at shifted
-  // offsets, so the row bodies hoist the widening out of the tap loop.
-  static constexpr bool kHoist = true;
-  static typename V::v8 load8(const std::uint16_t* p) {
-    return V::loadu_f16(p);
-  }
-  // Routed through the backend so F16C hardware converts the border
-  // taps too: the software converter's subnormal/zero early-outs are
-  // unpredictable branches on real activation data (most post-ReLU
-  // values flush to zero), and the border columns take one convert
-  // per tap.
-  static float load1(const std::uint16_t* p) { return V::load1_f16(p); }
-};
-template <class V>
-struct Bf16Src {
-  using elem = std::uint16_t;
-  static constexpr bool kHoist = true;
-  static typename V::v8 load8(const std::uint16_t* p) {
-    return V::loadu_bf16(p);
-  }
-  static float load1(const std::uint16_t* p) {
-    return bf16_bits_to_f32(*p);
-  }
-};
-// Plain-fp32 source for the _fma row kernels: same accumulation
-// structure and rounding as the converting policies, loads are direct.
-// The hoist is a pure loss here (it would just copy), so it is
-// compiled out via kHoist.
-template <class V>
-struct F32Src {
-  using elem = float;
-  static constexpr bool kHoist = false;
-  static typename V::v8 load8(const float* p) { return V::loadu(p); }
-  static float load1(const float* p) { return *p; }
-};
-
-// Border-column scalar path of the half-precision quad kernels: fmaf
-// per tap mirrors the vector V::fmadd lane op (both correctly
-// rounded), keeping border and interior columns on one contract.
-template <int NCO, class S, bool Deconv>
-inline void lowp_conv_point_q(const typename S::elem* in, const float* wgt,
-                              index_t wstride_ci, index_t wstride_co,
-                              float* out, index_t ostride_co, index_t cin,
-                              index_t h, index_t w, index_t k, index_t oy,
-                              index_t ox, index_t pad, const float* bias) {
-  float a0 = bias[0];
-  float a1 = NCO > 1 ? bias[1] : 0.0f;
-  float a2 = NCO > 2 ? bias[2] : 0.0f;
-  float a3 = NCO > 3 ? bias[3] : 0.0f;
-  constexpr index_t step = Deconv ? -1 : 1;
-  const index_t iy0 = Deconv ? oy + pad : oy - pad;
-  const index_t ix0 = Deconv ? ox + pad : ox - pad;
-  for (index_t ci = 0; ci < cin; ++ci) {
-    const typename S::elem* inp = in + ci * h * w;
-    const float* w0 = wgt + ci * wstride_ci;
-    const float* w1 = w0 + wstride_co;
-    const float* w2 = w1 + wstride_co;
-    const float* w3 = w2 + wstride_co;
-    for (index_t ky = 0; ky < k; ++ky) {
-      const index_t iy = iy0 + step * ky;
-      if (iy < 0 || iy >= h) continue;
-      for (index_t kx = 0; kx < k; ++kx) {
-        const index_t ix = ix0 + step * kx;
-        if (ix < 0 || ix >= w) continue;
-        const float x = S::load1(inp + iy * w + ix);
-        a0 = std::fmaf(x, w0[ky * k + kx], a0);
-        if (NCO > 1) a1 = std::fmaf(x, w1[ky * k + kx], a1);
-        if (NCO > 2) a2 = std::fmaf(x, w2[ky * k + kx], a2);
-        if (NCO > 3) a3 = std::fmaf(x, w3[ky * k + kx], a3);
-      }
-    }
-  }
-  out[ox] = a0;
-  if (NCO > 1) out[ostride_co + ox] = a1;
-  if (NCO > 2) out[2 * ostride_co + ox] = a2;
-  if (NCO > 3) out[3 * ostride_co + ox] = a3;
-}
-
 template <class V>
 struct Kernels {
   using v8 = typename V::v8;
   using d4 = typename V::d4;
-
-  static void sgemm_micro_4x8(const float* CCOVID_RESTRICT a, index_t lda,
-                              const float* CCOVID_RESTRICT bpack,
-                              float* CCOVID_RESTRICT c, index_t ldc,
-                              index_t kc) {
-    v8 acc0 = V::zero(), acc1 = V::zero(), acc2 = V::zero(),
-       acc3 = V::zero();
-    for (index_t p = 0; p < kc; ++p) {
-      const v8 b = V::loadu(bpack + p * 8);
-      acc0 = V::madd(acc0, V::set1(a[0 * lda + p]), b);
-      acc1 = V::madd(acc1, V::set1(a[1 * lda + p]), b);
-      acc2 = V::madd(acc2, V::set1(a[2 * lda + p]), b);
-      acc3 = V::madd(acc3, V::set1(a[3 * lda + p]), b);
-    }
-    V::storeu(c + 0 * ldc, V::add(V::loadu(c + 0 * ldc), acc0));
-    V::storeu(c + 1 * ldc, V::add(V::loadu(c + 1 * ldc), acc1));
-    V::storeu(c + 2 * ldc, V::add(V::loadu(c + 2 * ldc), acc2));
-    V::storeu(c + 3 * ldc, V::add(V::loadu(c + 3 * ldc), acc3));
-  }
 
   // One stride-1 output row of one output channel, conv or gather-form
   // deconv: 8 output pixels per vector in the interior, scalar points at
@@ -1112,19 +1008,65 @@ struct Kernels {
     return V::reduce_add(acc);
   }
 
+  // Border-column scalar path of the half-precision quad kernels: fmaf
+  // per tap mirrors the vector V::fmadd lane op (both correctly
+  // rounded), keeping border and interior columns on one contract.
+  // A member, not a free inline function, so that each backend TU keeps
+  // its own copy: the avx2 TU compiles std::fmaf to one vfmadd, the
+  // others to a libm call, and a symbol shared across the TUs would
+  // give every backend whichever copy the linker kept.
+  template <int NCO, bool Deconv>
+  static void lowp_conv_point_q(const float* in, const float* wgt,
+                                index_t wstride_ci, index_t wstride_co,
+                                float* out, index_t ostride_co, index_t cin,
+                                index_t h, index_t w, index_t k, index_t oy,
+                                index_t ox, index_t pad, const float* bias) {
+    float a0 = bias[0];
+    float a1 = NCO > 1 ? bias[1] : 0.0f;
+    float a2 = NCO > 2 ? bias[2] : 0.0f;
+    float a3 = NCO > 3 ? bias[3] : 0.0f;
+    constexpr index_t step = Deconv ? -1 : 1;
+    const index_t iy0 = Deconv ? oy + pad : oy - pad;
+    const index_t ix0 = Deconv ? ox + pad : ox - pad;
+    for (index_t ci = 0; ci < cin; ++ci) {
+      const float* inp = in + ci * h * w;
+      const float* w0 = wgt + ci * wstride_ci;
+      const float* w1 = w0 + wstride_co;
+      const float* w2 = w1 + wstride_co;
+      const float* w3 = w2 + wstride_co;
+      for (index_t ky = 0; ky < k; ++ky) {
+        const index_t iy = iy0 + step * ky;
+        if (iy < 0 || iy >= h) continue;
+        for (index_t kx = 0; kx < k; ++kx) {
+          const index_t ix = ix0 + step * kx;
+          if (ix < 0 || ix >= w) continue;
+          const float x = inp[iy * w + ix];
+          a0 = std::fmaf(x, w0[ky * k + kx], a0);
+          if (NCO > 1) a1 = std::fmaf(x, w1[ky * k + kx], a1);
+          if (NCO > 2) a2 = std::fmaf(x, w2[ky * k + kx], a2);
+          if (NCO > 3) a3 = std::fmaf(x, w3[ky * k + kx], a3);
+        }
+      }
+    }
+    out[ox] = a0;
+    if (NCO > 1) out[ostride_co + ox] = a1;
+    if (NCO > 2) out[2 * ostride_co + ox] = a2;
+    if (NCO > 3) out[3 * ostride_co + ox] = a3;
+  }
+
   // ----- half-precision (fp16/bf16) storage kernels -----------------
   //
   // Structure mirrors conv2d_rowq_body: double-wide then single-wide
   // interior blocks with per-channel accumulator chains, shared-source
-  // scalar borders. Differences are the storage policy S (convert the
-  // input on load) and V::fmadd instead of V::madd — the low-precision
-  // contract allows single-rounding FMA (see core/simd.h). The hoisted
-  // and zero-padded row copies below hold each block's input span left
-  // to right, starting at its leftmost column lx0; deconv's reversed
-  // taps read them at kk-1-kx instead of kx.
-  template <int NCO, int K, class S, bool Deconv>
+  // scalar borders. The input is the fp32 plane the executor widened
+  // from fp16/bf16; the difference is V::fmadd instead of V::madd — the
+  // low-precision contract allows single-rounding FMA (see core/simd.h).
+  // The zero-padded row copy of the partial tail holds the tail's input
+  // span left to right, starting at its leftmost column lx0; deconv's
+  // reversed taps read it at kk-1-kx instead of kx.
+  template <int NCO, int K, bool Deconv>
   static void lowp_conv2d_rowq_body(
-      const typename S::elem* CCOVID_RESTRICT in,
+      const float* CCOVID_RESTRICT in,
       const float* CCOVID_RESTRICT wgt, index_t wstride_ci,
       index_t wstride_co, float* CCOVID_RESTRICT out, index_t ostride_co,
       index_t cin, index_t h, index_t w, index_t k, index_t oy,
@@ -1151,9 +1093,9 @@ struct Kernels {
     };
     index_t ox = 0;
     for (; ox < xlo; ++ox) {
-      lowp_conv_point_q<NCO, S, Deconv>(in, wgt, wstride_ci, wstride_co, out,
-                                        ostride_co, cin, h, w, k, oy, ox,
-                                        pad, bias);
+      lowp_conv_point_q<NCO, Deconv>(in, wgt, wstride_ci, wstride_co, out,
+                                     ostride_co, cin, h, w, k, oy, ox, pad,
+                                     bias);
     }
     for (; ox + 16 <= xhi; ox += 16) {
       v8 a0 = V::set1(bias[0]), b0 = a0;
@@ -1161,74 +1103,36 @@ struct Kernels {
       v8 a2 = NCO > 2 ? V::set1(bias[2]) : V::zero(), b2 = a2;
       v8 a3 = NCO > 3 ? V::set1(bias[3]) : V::zero(), b3 = a3;
       const index_t ix0 = Deconv ? ox + pad : ox - pad;
-      const index_t lx0 = Deconv ? ix0 - (kk - 1) : ix0;
-      // Hoisted widening: the tap loop re-reads each row segment k
-      // times at shifted offsets, so convert a CHUNK of channels to
-      // fp32 up front and run the taps as pure f32 loads + FMA. The
-      // chunk (8 channels) puts enough distance between the converting
-      // stores and the overlapping tap loads that store-forwarding
-      // stalls disappear, and the convert uops (port-bound) overlap
-      // the previous chunk's FMA stream. The spans are exactly what
-      // the per-tap loads touched and widening is elementwise, so the
-      // result is bitwise unchanged.
-      constexpr index_t kSeg = 24;    // 16 wide + up to 7 skirt taps
-      constexpr index_t kChunk = 8;   // channels converted per batch
-      float rb[kChunk * 8 * kSeg];    // ky rows bounded by kk <= 8
-      const bool hoist = S::kHoist && kk <= 8;
-      const index_t nky = ky1 - ky0;
-      for (index_t ci0 = 0; ci0 < cin; ci0 += kChunk) {
-        const index_t ci1 = std::min<index_t>(cin, ci0 + kChunk);
-        if (hoist) {
-          for (index_t ci = ci0; ci < ci1; ++ci) {
-            const typename S::elem* inp = in + ci * h * w;
-            for (index_t ky = ky0; ky < ky1; ++ky) {
-              const typename S::elem* base =
-                  inp + (iy0 + step * ky) * w + lx0;
-              float* d = rb + ((ci - ci0) * nky + (ky - ky0)) * kSeg;
-              V::storeu(d, S::load8(base));
-              V::storeu(d + 8, S::load8(base + 8));
-              for (index_t t = 16; t + 1 < 16 + kk; ++t) {
-                d[t] = S::load1(base + t);
-              }
+      for (index_t ci = 0; ci < cin; ++ci) {
+        const float* inp = in + ci * h * w;
+        const float* w0 = wgt + ci * wstride_ci;
+        const float* w1 = w0 + wstride_co;
+        const float* w2 = w1 + wstride_co;
+        const float* w3 = w2 + wstride_co;
+        for (index_t ky = ky0; ky < ky1; ++ky) {
+          const float* row = inp + (iy0 + step * ky) * w + ix0;
+          const index_t kb = ky * kk;
+          #pragma GCC unroll 8
+          for (index_t kx = 0; kx < kk; ++kx) {
+            const v8 v = V::loadu(row + step * kx);
+            const v8 u = V::loadu(row + step * kx + 8);
+            const v8 wv0 = V::set1(w0[kb + kx]);
+            a0 = V::fmadd(a0, v, wv0);
+            b0 = V::fmadd(b0, u, wv0);
+            if (NCO > 1) {
+              const v8 wv1 = V::set1(w1[kb + kx]);
+              a1 = V::fmadd(a1, v, wv1);
+              b1 = V::fmadd(b1, u, wv1);
             }
-          }
-        }
-        for (index_t ci = ci0; ci < ci1; ++ci) {
-          const typename S::elem* inp = in + ci * h * w;
-          const float* w0 = wgt + ci * wstride_ci;
-          const float* w1 = w0 + wstride_co;
-          const float* w2 = w1 + wstride_co;
-          const float* w3 = w2 + wstride_co;
-          for (index_t ky = ky0; ky < ky1; ++ky) {
-            const typename S::elem* row =
-                inp + (iy0 + step * ky) * w + ix0;
-            const float* seg =
-                rb + ((ci - ci0) * nky + (ky - ky0)) * kSeg;
-            const index_t kb = ky * kk;
-            #pragma GCC unroll 8
-            for (index_t kx = 0; kx < kk; ++kx) {
-              const v8 v = hoist ? V::loadu(seg + seg_off(kx))
-                                 : S::load8(row + step * kx);
-              const v8 u = hoist ? V::loadu(seg + seg_off(kx) + 8)
-                                 : S::load8(row + step * kx + 8);
-              const v8 wv0 = V::set1(w0[kb + kx]);
-              a0 = V::fmadd(a0, v, wv0);
-              b0 = V::fmadd(b0, u, wv0);
-              if (NCO > 1) {
-                const v8 wv1 = V::set1(w1[kb + kx]);
-                a1 = V::fmadd(a1, v, wv1);
-                b1 = V::fmadd(b1, u, wv1);
-              }
-              if (NCO > 2) {
-                const v8 wv2 = V::set1(w2[kb + kx]);
-                a2 = V::fmadd(a2, v, wv2);
-                b2 = V::fmadd(b2, u, wv2);
-              }
-              if (NCO > 3) {
-                const v8 wv3 = V::set1(w3[kb + kx]);
-                a3 = V::fmadd(a3, v, wv3);
-                b3 = V::fmadd(b3, u, wv3);
-              }
+            if (NCO > 2) {
+              const v8 wv2 = V::set1(w2[kb + kx]);
+              a2 = V::fmadd(a2, v, wv2);
+              b2 = V::fmadd(b2, u, wv2);
+            }
+            if (NCO > 3) {
+              const v8 wv3 = V::set1(w3[kb + kx]);
+              a3 = V::fmadd(a3, v, wv3);
+              b3 = V::fmadd(b3, u, wv3);
             }
           }
         }
@@ -1254,29 +1158,18 @@ struct Kernels {
       v8 a2 = NCO > 2 ? V::set1(bias[2]) : V::zero();
       v8 a3 = NCO > 3 ? V::set1(bias[3]) : V::zero();
       const index_t ix0 = Deconv ? ox + pad : ox - pad;
-      float rb[8 + 7];  // same hoist as the double-wide block
-      const bool hoist = S::kHoist && kk <= 8;
       for (index_t ci = 0; ci < cin; ++ci) {
-        const typename S::elem* inp = in + ci * h * w;
+        const float* inp = in + ci * h * w;
         const float* w0 = wgt + ci * wstride_ci;
         const float* w1 = w0 + wstride_co;
         const float* w2 = w1 + wstride_co;
         const float* w3 = w2 + wstride_co;
         for (index_t ky = ky0; ky < ky1; ++ky) {
-          const typename S::elem* row =
-              inp + (iy0 + step * ky) * w + ix0;
-          const typename S::elem* base = Deconv ? row - (kk - 1) : row;
+          const float* row = inp + (iy0 + step * ky) * w + ix0;
           const index_t kb = ky * kk;
-          if (hoist) {
-            V::storeu(rb, S::load8(base));
-            for (index_t t = 8; t + 1 < 8 + kk; ++t) {
-              rb[t] = S::load1(base + t);
-            }
-          }
           #pragma GCC unroll 8
           for (index_t kx = 0; kx < kk; ++kx) {
-            const v8 v = hoist ? V::loadu(rb + seg_off(kx))
-                               : S::load8(row + step * kx);
+            const v8 v = V::loadu(row + step * kx);
             a0 = V::fmadd(a0, v, V::set1(w0[kb + kx]));
             if (NCO > 1) a1 = V::fmadd(a1, v, V::set1(w1[kb + kx]));
             if (NCO > 2) a2 = V::fmadd(a2, v, V::set1(w2[kb + kx]));
@@ -1305,17 +1198,16 @@ struct Kernels {
       const index_t lx0 = Deconv ? ox + pad - (kk - 1) : ox - pad;
       float rb[16];
       for (index_t ci = 0; ci < cin; ++ci) {
-        const typename S::elem* inp = in + ci * h * w;
+        const float* inp = in + ci * h * w;
         const float* w0 = wgt + ci * wstride_ci;
         const float* w1 = w0 + wstride_co;
         const float* w2 = w1 + wstride_co;
         const float* w3 = w2 + wstride_co;
         for (index_t ky = ky0; ky < ky1; ++ky) {
-          const typename S::elem* base =
-              inp + (iy0 + step * ky) * w + lx0;
+          const float* base = inp + (iy0 + step * ky) * w + lx0;
           const index_t kb = ky * kk;
           const index_t live = n + kk - 1;
-          for (index_t t = 0; t < live; ++t) rb[t] = S::load1(base + t);
+          for (index_t t = 0; t < live; ++t) rb[t] = base[t];
           for (index_t t = live; t < 15; ++t) rb[t] = 0.0f;
           #pragma GCC unroll 8
           for (index_t kx = 0; kx < kk; ++kx) {
@@ -1347,16 +1239,15 @@ struct Kernels {
       ox = xhi;
     }
     for (; ox < wo; ++ox) {
-      lowp_conv_point_q<NCO, S, Deconv>(in, wgt, wstride_ci, wstride_co, out,
-                                        ostride_co, cin, h, w, k, oy, ox,
-                                        pad, bias);
+      lowp_conv_point_q<NCO, Deconv>(in, wgt, wstride_ci, wstride_co, out,
+                                     ostride_co, cin, h, w, k, oy, ox, pad,
+                                     bias);
     }
   }
 
-  // The quad entries of the low-precision contract: storage policy S,
-  // direction, channel count and extent become template arguments.
-  template <class S>
-  static void lowp_row4(const typename S::elem* in, const float* wgt,
+  // The quad body of conv2d_row8_s1_fma: direction, channel count and
+  // extent become template arguments.
+  static void lowp_row4(const float* in, const float* wgt,
                         index_t wstride_ci, index_t wstride_co, float* out,
                         index_t ostride_co, int nco, index_t cin, index_t h,
                         index_t w, index_t k, index_t oy, index_t pad,
@@ -1364,7 +1255,7 @@ struct Kernels {
     with_dir(deconv, [&](auto dc) {
       with_nco(nco, [&](auto nc) {
         with_k(k, [&](auto kc) {
-          lowp_conv2d_rowq_body<decltype(nc)::value, decltype(kc)::value, S,
+          lowp_conv2d_rowq_body<decltype(nc)::value, decltype(kc)::value,
                                 decltype(dc)::value>(
               in, wgt, wstride_ci, wstride_co, out, ostride_co, cin, h, w, k,
               oy, pad, wo, bias);
@@ -1375,7 +1266,7 @@ struct Kernels {
 
   // ---- octet (up to 8 output channels) f32 fma row body ------------
   //
-  // Same per-output arithmetic as the row4 _fma path: each output
+  // Same per-output arithmetic as the lowp_row4 quad path: each output
   // channel's (ci, ky, kx) fmadd order is untouched, so regrouping
   // output channels eight at a time changes no bits. What it changes
   // is input traffic — the graph executor walks the (widened) input
@@ -1392,7 +1283,6 @@ struct Kernels {
                             index_t oy, index_t pad, index_t wo,
                             const float* CCOVID_RESTRICT bias) {
     static_assert(NCO >= 5 && NCO <= 8, "quartets go through lowp_row4");
-    using S = F32Src<V>;
     const index_t kk = K > 0 ? index_t(K) : k;
     index_t ky0, ky1, xlo, xhi;
     if (Deconv) {
@@ -1411,10 +1301,10 @@ struct Kernels {
     // Border columns: the quartet point helpers, twice (channels 0..3
     // and 4..NCO-1) — bitwise the same fmaf chain per channel.
     const auto point = [&](index_t ox) {
-      lowp_conv_point_q<4, S, Deconv>(in, wgt, wstride_ci, wstride_co, out,
-                                      ostride_co, cin, h, w, k, oy, ox, pad,
-                                      bias);
-      lowp_conv_point_q<NCO - 4, S, Deconv>(
+      lowp_conv_point_q<4, Deconv>(in, wgt, wstride_ci, wstride_co, out,
+                                   ostride_co, cin, h, w, k, oy, ox, pad,
+                                   bias);
+      lowp_conv_point_q<NCO - 4, Deconv>(
           in, wgt + 4 * wstride_co, wstride_ci, wstride_co,
           out + 4 * ostride_co, ostride_co, cin, h, w, k, oy, ox, pad,
           bias + 4);
@@ -1556,8 +1446,8 @@ struct Kernels {
                                  index_t wo, const float* bias,
                                  bool deconv) {
     if (nco <= 4) {
-      lowp_row4<F32Src<V>>(in, wgt, wstride_ci, wstride_co, out, ostride_co,
-                           nco, cin, h, w, k, oy, pad, wo, bias, deconv);
+      lowp_row4(in, wgt, wstride_ci, wstride_co, out, ostride_co, nco, cin,
+                h, w, k, oy, pad, wo, bias, deconv);
       return;
     }
     with_dir(deconv, [&](auto dc) {
@@ -1679,7 +1569,6 @@ template <class V>
 KernelTable make_table(const char* name) {
   KernelTable t;
   t.name = name;
-  t.sgemm_micro_4x8 = &Kernels<V>::sgemm_micro_4x8;
   t.conv2d_row_s1 = &Kernels<V>::conv2d_row_s1;
   t.conv2d_row4_s1 = &Kernels<V>::conv2d_row4_s1;
   t.conv3d_row4_s1 = &Kernels<V>::conv3d_row4_s1;
@@ -1692,9 +1581,6 @@ KernelTable make_table(const char* name) {
   t.add_scalar = &Kernels<V>::add_scalar;
   t.cmul = &V::cmul;
   t.dot = &Kernels<V>::dot;
-  t.conv2d_row4_s1_f16 = &Kernels<V>::template lowp_row4<F16Src<V>>;
-  t.conv2d_row4_s1_bf16 = &Kernels<V>::template lowp_row4<Bf16Src<V>>;
-  t.conv2d_row4_s1_fma = &Kernels<V>::template lowp_row4<F32Src<V>>;
   t.conv2d_row8_s1_fma = &Kernels<V>::conv2d_row8_s1_fma;
   t.scale_shift_act_store_f16 = &Kernels<V>::scale_shift_act_store_f16;
   t.scale_shift_act_store_bf16 = &Kernels<V>::scale_shift_act_store_bf16;

@@ -727,9 +727,9 @@ struct Half {
 
   // Widened single-rounding FMA octets. The weights and a band of input
   // rows widen once per job, then the fp32-load FMA row kernel runs:
-  // widening is elementwise-exact and the _fma kernel keeps the
-  // convert-on-load kernels' accumulation order and single rounding,
-  // so the bits are theirs. Octets, not quads: the row8 kernel
+  // widening is elementwise-exact, so each output is the bias-first
+  // fmaf chain over the stored values in (ci, ky, kx) order (test_lowprec
+  // pins the kernel against that loop). Octets, not quads: the row8 kernel
   // amortizes each pass over the widened input across 8 output
   // channels, which matters because the co=8 dense-layer convs are
   // memory-bound (grouping is bit-neutral — each channel keeps its own

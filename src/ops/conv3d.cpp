@@ -26,7 +26,7 @@ void check_args(const Tensor& input, const Tensor& weight,
   if (bias.defined() && (bias.rank() != 1 || bias.dim(0) != weight.dim(0))) {
     throw std::invalid_argument("conv3d: bias must be (Cout)");
   }
-  if (p.stride < 1 || p.pad < 0) {
+  if (p.pad < 0) {
     throw std::invalid_argument("conv3d: bad params");
   }
 }
@@ -36,9 +36,6 @@ void check_args(const Tensor& input, const Tensor& weight,
 Tensor conv3d(const Tensor& input, const Tensor& weight, const Tensor& bias,
               Conv3dParams p) {
   check_args(input, weight, bias, p);
-  if (p.stride != 1) {
-    throw std::invalid_argument("conv3d: only stride 1 is supported");
-  }
   TRACE_SPAN("ops.conv3d");
   const index_t n = input.dim(0), cin = input.dim(1), d = input.dim(2),
                 h = input.dim(3), w = input.dim(4);
@@ -107,20 +104,14 @@ Tensor conv3d_backward_input(const Tensor& grad_out, const Tensor& weight,
             for (index_t ix = 0; ix < in_w; ++ix) {
               real_t acc = 0.0f;
               for (index_t kz = 0; kz < k; ++kz) {
-                const index_t oz_num = iz + p.pad - kz;
-                if (oz_num < 0 || oz_num % p.stride != 0) continue;
-                const index_t oz = oz_num / p.stride;
-                if (oz >= od) continue;
+                const index_t oz = iz + p.pad - kz;
+                if (oz < 0 || oz >= od) continue;
                 for (index_t ky = 0; ky < k; ++ky) {
-                  const index_t oy_num = iy + p.pad - ky;
-                  if (oy_num < 0 || oy_num % p.stride != 0) continue;
-                  const index_t oy = oy_num / p.stride;
-                  if (oy >= oh) continue;
+                  const index_t oy = iy + p.pad - ky;
+                  if (oy < 0 || oy >= oh) continue;
                   for (index_t kx = 0; kx < k; ++kx) {
-                    const index_t ox_num = ix + p.pad - kx;
-                    if (ox_num < 0 || ox_num % p.stride != 0) continue;
-                    const index_t ox = ox_num / p.stride;
-                    if (ox >= ow) continue;
+                    const index_t ox = ix + p.pad - kx;
+                    if (ox < 0 || ox >= ow) continue;
                     for (index_t co = 0; co < cout; ++co) {
                       acc += go_n[((co * od + oz) * oh + oy) * ow + ox] *
                              wp[(((co * cin + ci) * k + kz) * k + ky) * k +
@@ -163,13 +154,13 @@ Tensor conv3d_backward_weight(const Tensor& grad_out, const Tensor& input,
                 const real_t* go = gp + (ni * cout + co) * od * oh * ow;
                 const real_t* in_p = ip + (ni * cin + ci) * d * h * w;
                 for (index_t oz = 0; oz < od; ++oz) {
-                  const index_t iz = oz * p.stride - p.pad + kz;
+                  const index_t iz = oz - p.pad + kz;
                   if (iz < 0 || iz >= d) continue;
                   for (index_t oy = 0; oy < oh; ++oy) {
-                    const index_t iy = oy * p.stride - p.pad + ky;
+                    const index_t iy = oy - p.pad + ky;
                     if (iy < 0 || iy >= h) continue;
                     for (index_t ox = 0; ox < ow; ++ox) {
-                      const index_t ix = ox * p.stride - p.pad + kx;
+                      const index_t ix = ox - p.pad + kx;
                       if (ix < 0 || ix >= w) continue;
                       acc += static_cast<double>(
                                  go[(oz * oh + oy) * ow + ox]) *

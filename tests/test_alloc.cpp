@@ -22,7 +22,6 @@
 #include "graph/graph.h"
 #include "nn/ddnet.h"
 #include "nn/layers.h"
-#include "ops/gemm.h"
 #include "serve/server.h"
 
 namespace ccovid {
@@ -185,31 +184,6 @@ std::uint64_t fresh_allocs_steady_state(int warmup, int iters,
   const std::uint64_t before = fresh_system_allocs();
   for (int i = 0; i < iters; ++i) body();
   return fresh_system_allocs() - before;
-}
-
-TEST(AllocCache, MatmulSteadyStateIsAllocationFree) {
-  ParallelPin pin(1);  // deterministic single-thread arena usage
-  Rng rng(3);
-  Tensor a({48, 96}), b({96, 32});
-  rng.fill_uniform(a, -1.0, 1.0);
-  rng.fill_uniform(b, -1.0, 1.0);
-  const std::uint64_t fresh = fresh_allocs_steady_state(
-      3, 8, [&] { Tensor c = ops::matmul(a, b); });
-  EXPECT_EQ(fresh, 0u) << "matmul allocated from the system heap in "
-                          "steady state";
-}
-
-TEST(AllocCache, Conv2dGemmSteadyStateIsAllocationFree) {
-  ParallelPin pin(1);
-  Rng rng(5);
-  Tensor x({1, 4, 24, 24}), w({8, 4, 3, 3}), bias({8});
-  rng.fill_uniform(x, 0.0, 1.0);
-  rng.fill_uniform(w, -0.3, 0.3);
-  const std::uint64_t fresh = fresh_allocs_steady_state(3, 8, [&] {
-    Tensor y = ops::conv2d_gemm(x, w, bias, {1, 1});
-  });
-  EXPECT_EQ(fresh, 0u) << "conv2d_gemm allocated from the system heap "
-                          "in steady state";
 }
 
 TEST(AllocCache, DdnetEnhanceSteadyStateIsAllocationFree) {

@@ -221,12 +221,12 @@ TEST(AutogradGrad, Conv3d) {
     Var x(x_val);
     Var w(w_val);
     return static_cast<double>(
-        mean(conv3d(x, w, Var(), ops::Conv3dParams{1, 0})).value().at(0));
+        mean(conv3d(x, w, Var(), ops::Conv3dParams{0})).value().at(0));
   };
   const Tensor num_x = numerical_gradient(loss_value, x_val, 1e-3);
   const Tensor num_w = numerical_gradient(loss_value, w_val, 1e-3);
   Var x(x_val, true), w(w_val, true);
-  Var loss = mean(conv3d(x, w, Var(), ops::Conv3dParams{1, 0}));
+  Var loss = mean(conv3d(x, w, Var(), ops::Conv3dParams{0}));
   loss.backward();
   EXPECT_LT(gradient_error(x.grad(), num_x), 2e-2);
   EXPECT_LT(gradient_error(w.grad(), num_w), 2e-2);
