@@ -83,6 +83,21 @@ TEST_F(FaultTest, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_schedule("error*delay(1ms)"), std::invalid_argument);
   EXPECT_THROW(parse_schedule("thread(-1)"), std::invalid_argument);
   EXPECT_THROW(parse_schedule("delay(5kg)"), std::invalid_argument);
+  // Numbers that do not fit their field: each would otherwise wrap into
+  // a value with another meaning (thread -> "any thread", k -> 0).
+  for (const char* spec :
+       {"thread(1e20)", "thread(inf)", "thread(2147483648)", "nth(1e30)",
+        "every(inf)", "after(nan)", "times(18446744073709551616)",
+        "nth(9007199254740994)", "corrupt(4294967296)",
+        "nan(4294967297)", "delay(inf)", "delay(1e10)",
+        "delay(1e13ms)"}) {
+    EXPECT_THROW(parse_schedule(spec), std::invalid_argument) << spec;
+  }
+  EXPECT_EQ(parse_schedule("thread(2147483647)").thread, 2147483647);
+  EXPECT_EQ(parse_schedule("nth(9007199254740992)").k,
+            std::uint64_t{1} << 53);
+  EXPECT_EQ(parse_schedule("corrupt(4294967295)").count, 4294967295u);
+  EXPECT_EQ(parse_schedule("delay(1e9)").delay_s, 1e9);
   EXPECT_THROW(Registry::instance().configure("noequalsign"),
                std::invalid_argument);
 }
