@@ -37,6 +37,14 @@
 
 namespace ccovid::simd::detail {
 
+// Everything below has internal linkage: each backend TU compiles its
+// own copy with its own ISA flags. With external (weak) linkage the
+// linker would keep one copy of every helper for all three backends,
+// so the scalar and sse2 tables could end up running the avx2 TU's
+// VEX-encoded code, or the avx2 table the scalar TU's `fmaf` calls.
+// Only the simd_backend_*.cpp TUs include this header.
+namespace {
+
 // Compile-time dispatch of the row kernels: each helper calls `body`
 // with its runtime argument as a std::integral_constant.
 //  with_dir — the tap direction (false = conv, true = deconv);
@@ -1615,5 +1623,7 @@ inline void cmul_one(double* a, const double* b) {
   a[0] = ar * br - ai * bi;
   a[1] = ai * br + ar * bi;
 }
+
+}  // namespace
 
 }  // namespace ccovid::simd::detail

@@ -1,5 +1,6 @@
 #include "ops/pool2d.h"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -28,21 +29,31 @@ index_t pool_out_extent(index_t in, const Pool2dParams& p) {
 void max_pool2d_plane(const real_t* in_p, real_t* out_p, index_t* arg_p,
                       index_t h, index_t w, index_t ho, index_t wo,
                       const Pool2dParams& p) {
+  // Taps visit the in-range window in ascending (ky, kx) order and keep
+  // the first strict maximum: a NaN never wins, and an all-NaN window
+  // yields -inf at flat index 0. The in-range tap bounds are hoisted out
+  // of the tap loops and the running max / argmax update is written as
+  // two selects on one comparison, so random activations cost no
+  // mispredicted branch. The eval callers (arg_p == nullptr) run the
+  // same loop; the argmax select is one cmov.
+  const index_t k = p.ksize;
   for (index_t oy = 0; oy < ho; ++oy) {
+    const index_t y0 = oy * p.stride - p.pad;
+    const index_t ky0 = std::max<index_t>(0, -y0);
+    const index_t ky1 = std::min<index_t>(k, h - y0);
     for (index_t ox = 0; ox < wo; ++ox) {
+      const index_t x0 = ox * p.stride - p.pad;
+      const index_t kx0 = std::max<index_t>(0, -x0);
+      const index_t kx1 = std::min<index_t>(k, w - x0);
       real_t best = -std::numeric_limits<real_t>::infinity();
       index_t best_ix = 0;
-      for (index_t ky = 0; ky < p.ksize; ++ky) {
-        const index_t iy = oy * p.stride - p.pad + ky;
-        if (iy < 0 || iy >= h) continue;
-        for (index_t kx = 0; kx < p.ksize; ++kx) {
-          const index_t ix = ox * p.stride - p.pad + kx;
-          if (ix < 0 || ix >= w) continue;
-          const real_t v = in_p[iy * w + ix];
-          if (v > best) {
-            best = v;
-            best_ix = iy * w + ix;
-          }
+      for (index_t ky = ky0; ky < ky1; ++ky) {
+        const index_t row = (y0 + ky) * w + x0;
+        for (index_t kx = kx0; kx < kx1; ++kx) {
+          const real_t v = in_p[row + kx];
+          const bool gt = v > best;
+          best = gt ? v : best;
+          best_ix = gt ? row + kx : best_ix;
         }
       }
       out_p[oy * wo + ox] = best;

@@ -25,12 +25,23 @@ std::uint64_t ResultCache::scan_key(const Tensor& volume_hu,
                                     bool use_enhancement, double threshold,
                                     core::Precision precision,
                                     bool graph_fusion, std::uint64_t epoch) {
-  // Volume bytes first (the bulk), then every serving knob the output
-  // bits depend on. fp32 results ARE fusion-invariant (the PR 7 bitwise
-  // contract) but low-precision ones are not (DESIGN.md §13), so the
-  // fusion flag is always folded in — a key that is conservatively
-  // narrow costs a few extra misses, never a wrong hit.
-  std::uint64_t h = fnv1a64(volume_hu);
+  // Volume bytes first (the bulk, through the word-parallel XXH64),
+  // then its shape and every serving knob the output bits depend on,
+  // folded in with FNV-1a. Equal bytes under a different shape are a
+  // different scan. fp32 results ARE fusion-invariant (the graph
+  // compiler's bitwise contract, DESIGN.md §12) but low-precision ones
+  // are not (DESIGN.md §13), so the fusion flag is always folded in —
+  // a key that is conservatively narrow costs a few extra misses, never
+  // a wrong hit.
+  const std::size_t bytes =
+      volume_hu.defined()
+          ? static_cast<std::size_t>(volume_hu.numel()) * sizeof(real_t)
+          : 0;
+  std::uint64_t h = xxh64(volume_hu.data(), bytes);
+  for (int d = 0; d < volume_hu.rank(); ++d) {
+    const index_t extent = volume_hu.dim(d);
+    h = fnv1a64(&extent, sizeof(extent), h);
+  }
   const std::uint8_t flags =
       static_cast<std::uint8_t>((use_enhancement ? 1 : 0) |
                                 (graph_fusion ? 2 : 0));

@@ -111,9 +111,11 @@ class ResultCache {
  public:
   explicit ResultCache(const MonitorOptions& opt) : opt_(opt) {}
 
-  /// Key of one (scan, serving configuration) cell. Folds the volume
-  /// bytes with every knob the output bits depend on, plus `epoch` so
-  /// invalidation retires all outstanding keys at once.
+  /// Key of one (scan, serving configuration) cell. XXH64 of the volume
+  /// bytes, folded (FNV-1a) with the volume's shape and every knob the
+  /// output bits depend on, plus `epoch` so invalidation retires all
+  /// outstanding keys at once. Lives only in memory: no file or frame
+  /// stores it.
   static std::uint64_t scan_key(const Tensor& volume_hu,
                                 bool use_enhancement, double threshold,
                                 core::Precision precision, bool graph_fusion,

@@ -1,5 +1,5 @@
 // Core substrate tests: shapes, tensors, RNG statistics, parallel_for,
-// counters, image/CSV IO, serialization.
+// counters, image/CSV IO, serialization, the XXH64 digest.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,8 +10,11 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/counters.h"
+#include "core/digest.h"
 #include "core/image_io.h"
 #include "core/parallel.h"
 #include "core/random.h"
@@ -488,6 +491,78 @@ TEST(Serialize, EveryTruncationThrows) {
   EXPECT_EQ(load_tensor_map(cut).size(), 2u);
   std::remove(cut.c_str());
   std::remove(path.c_str());
+}
+
+
+// --------------------------------------------------------------- XXH64
+
+std::uint64_t xxh64_of(const std::string& s) {
+  return xxh64(s.data(), s.size());
+}
+
+TEST(Xxh64, MatchesSpecKnownAnswers) {
+  EXPECT_EQ(xxh64_of(""), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(xxh64_of("abc"), 0x44BC2CF5AD770999ull);
+  // 39 bytes: one 32-byte stripe, then the 4- and 1-byte tails.
+  const std::string spam = "Nobody inspects the spammish repetition";
+  ASSERT_EQ(spam.size(), 39u);
+  EXPECT_EQ(xxh64_of(spam), 0xFBCEA83C8A378BF1ull);
+}
+
+TEST(Xxh64, EverySingleBitFlipChangesTheDigest) {
+  // 45 bytes: a stripe, an 8-byte tail word, a 4-byte tail word and a
+  // 1-byte tail, so every input path of the function sees a flip.
+  std::vector<unsigned char> buf(45);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>(i * 37 + 11);
+  }
+  const std::uint64_t base = xxh64(buf.data(), buf.size());
+  for (std::size_t byte = 0; byte < buf.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      buf[byte] ^= static_cast<unsigned char>(1u << bit);
+      EXPECT_NE(xxh64(buf.data(), buf.size()), base)
+          << "byte " << byte << " bit " << bit;
+      buf[byte] ^= static_cast<unsigned char>(1u << bit);
+    }
+  }
+}
+
+TEST(Xxh64, TwoSignFlipsDoNotCancel) {
+  // -x for +x in two voxels at once: the flips sit in the same bit of
+  // different words, the pattern an additive or xor fold would cancel.
+  std::vector<float> v(24);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = 0.25f * static_cast<float>(i + 1);
+  }
+  const std::uint64_t base = xxh64(v.data(), v.size() * sizeof(float));
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    for (std::size_t j = i + 1; j < v.size(); ++j) {
+      v[i] = -v[i];
+      v[j] = -v[j];
+      EXPECT_NE(xxh64(v.data(), v.size() * sizeof(float)), base)
+          << "floats " << i << " and " << j;
+      v[i] = -v[i];
+      v[j] = -v[j];
+    }
+  }
+}
+
+TEST(Xxh64, SwappingTwoWordsChangesTheDigest) {
+  // 9 words: two full stripes (the same lane of both stripes, and
+  // different lanes of one stripe) plus an 8-byte tail word.
+  std::vector<std::uint64_t> w(9);
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    w[i] = 0x0123456789ABCDEFull * (i + 1);
+  }
+  const std::uint64_t base = xxh64(w.data(), w.size() * 8);
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    for (std::size_t j = i + 1; j < w.size(); ++j) {
+      std::swap(w[i], w[j]);
+      EXPECT_NE(xxh64(w.data(), w.size() * 8), base)
+          << "words " << i << " and " << j;
+      std::swap(w[i], w[j]);
+    }
+  }
 }
 
 }  // namespace

@@ -40,6 +40,7 @@
 #include "nn/densenet3d.h"
 #include "nn/layers.h"
 #include "pipeline/framework.h"
+#include "serve/monitor.h"
 #include "trace/trace.h"
 
 namespace ccovid {
@@ -131,7 +132,10 @@ std::uint64_t digest_across_widths(Body&& body) {
   return at1;
 }
 
+// The fp32 digests pin fp32: the process-wide precision (e.g. a
+// CCOVID_PRECISION=fp16 environment) must not reach them.
 TEST(Golden, DdnetForward) {
+  const core::PrecisionGuard pguard(core::Precision::kF32);
   nn::seed_init_rng(3);
   nn::DDnet net(nn::DDnetConfig::tiny());
   net.set_training(false);
@@ -381,6 +385,7 @@ TEST(Golden, FbpReconstruction) {
 }
 
 TEST(Golden, FullDiagnose) {
+  const core::PrecisionGuard pguard(core::Precision::kF32);
   nn::seed_init_rng(3);
   auto enh = std::make_shared<pipeline::EnhancementAI>(nn::DDnetConfig::tiny());
   auto seg = std::make_shared<pipeline::SegmentationAI>();
@@ -432,6 +437,7 @@ TEST(Golden, ClassifierLogit) {
 // any swept width. Slices may run on any lane in any order, so this
 // pins that the slice map never lets scheduling reach the bits.
 TEST(Golden, VolumeStages) {
+  const core::PrecisionGuard pguard(core::Precision::kF32);
   nn::seed_init_rng(3);
   pipeline::EnhancementAI enh(nn::DDnetConfig::tiny());
   pipeline::SegmentationAI seg;
@@ -445,6 +451,20 @@ TEST(Golden, VolumeStages) {
     return fnv1a64(seg.segment(enhanced), fnv1a64(enhanced));
   });
   check_golden("volume_stages_tiny", h);
+}
+
+// The result-cache key of a fixed seeded volume. No file or frame
+// stores a key, so this line exists to make a change of the key
+// function a visible, deliberate edit. 5 x 13 x 19 voxels are 4940
+// bytes: 154 32-byte stripes, then an 8- and a 4-byte tail word.
+TEST(Golden, ScanKey) {
+  Rng rng(23);
+  Tensor vol({5, 13, 19});
+  rng.fill_uniform(vol, -1000.0, 400.0);
+  const std::uint64_t key = serve::ResultCache::scan_key(
+      vol, true, 0.5, core::Precision::kF32, /*graph_fusion=*/true,
+      /*epoch=*/0);
+  check_golden("scan_key_vol5x13x19", key);
 }
 
 }  // namespace

@@ -70,6 +70,36 @@ TEST(ScanKey, CoversEveryInputTheOutputDependsOn) {
                                      true, 0));
   EXPECT_NE(k, ResultCache::scan_key(v, true, 0.5, core::Precision::kF32,
                                      false, 1));
+
+  // -0.0f and +0.0f compare equal but are different bits, and the
+  // pipeline's output bits may follow the sign.
+  Tensor neg = v.clone();
+  neg.data()[0] = -0.0f;
+  ASSERT_EQ(v.data()[0], neg.data()[0]);
+  EXPECT_NE(k, ResultCache::scan_key(neg, true, 0.5, core::Precision::kF32,
+                                     false, 0))
+      << "a zero's sign bit must change the key";
+
+  // The same bytes under another shape are another scan.
+  EXPECT_NE(k, ResultCache::scan_key(v.reshape(Shape({4, 2, 4})), true,
+                                     0.5, core::Precision::kF32, false, 0))
+      << "the volume's shape must change the key";
+
+  // 3 x 3 x 3 voxels are 108 bytes: three 32-byte stripes, one 8-byte
+  // and one 4-byte tail word. A change in the 4-byte tail (the last
+  // voxel) or in the last 8-byte word must move the key.
+  Tensor odd({3, 3, 3});
+  for (index_t i = 0; i < odd.numel(); ++i) odd.data()[i] = real_t(i);
+  const auto odd_key = [&](const Tensor& t) {
+    return ResultCache::scan_key(t, true, 0.5, core::Precision::kF32,
+                                 false, 0);
+  };
+  const std::uint64_t ko = odd_key(odd);
+  for (const index_t voxel : {index_t{24}, index_t{25}, index_t{26}}) {
+    Tensor changed = odd.clone();
+    changed.data()[voxel] = -changed.data()[voxel] - 1.0f;
+    EXPECT_NE(ko, odd_key(changed)) << "voxel " << voxel;
+  }
 }
 
 // -------------------------------------------------------- result cache

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "autograd/gradcheck.h"
 #include "core/random.h"
@@ -54,6 +57,75 @@ TEST(MaxPool2d, OverlappingWindowsAccumulateGradient) {
   gout.fill(1.0f);
   const Tensor gin = max_pool2d_backward(gout, res.argmax, 5, 5);
   EXPECT_FLOAT_EQ(gin.at(0, 0, 2, 2), 4.0f);
+}
+
+// Reference for the op's select form: the branchy max-pool plane loop
+// with per-tap bounds checks and an `if (v > best)` update. Output and
+// argmax must match it bit for bit.
+void reference_max_pool_plane(const real_t* in_p, real_t* out_p,
+                              index_t* arg_p, index_t h, index_t w,
+                              index_t ho, index_t wo, const Pool2dParams& p) {
+  for (index_t oy = 0; oy < ho; ++oy) {
+    for (index_t ox = 0; ox < wo; ++ox) {
+      real_t best = -std::numeric_limits<real_t>::infinity();
+      index_t best_ix = 0;
+      for (index_t ky = 0; ky < p.ksize; ++ky) {
+        const index_t iy = oy * p.stride - p.pad + ky;
+        if (iy < 0 || iy >= h) continue;
+        for (index_t kx = 0; kx < p.ksize; ++kx) {
+          const index_t ix = ox * p.stride - p.pad + kx;
+          if (ix < 0 || ix >= w) continue;
+          const real_t v = in_p[iy * w + ix];
+          if (v > best) {
+            best = v;
+            best_ix = iy * w + ix;
+          }
+        }
+      }
+      out_p[oy * wo + ox] = best;
+      arg_p[oy * wo + ox] = best_ix;
+    }
+  }
+}
+
+TEST(MaxPool2d, MatchesBranchyReferenceBitwise) {
+  // Values drawn from a small set so windows hold ties, NaNs, both
+  // zeros and -inf; plane 1 is all NaN, so every one of its windows is.
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  const real_t pool[] = {nan, -0.0f, 0.0f, -inf, 1.0f, -1.0f, 0.5f, 1.0f};
+  Rng rng(29);
+  Tensor input({1, 3, 9, 11});
+  real_t* x = input.data();
+  for (index_t i = 0; i < input.numel(); ++i) {
+    x[i] = pool[rng.uniform_int(0, 7)];
+  }
+  for (index_t i = 9 * 11; i < 2 * 9 * 11; ++i) x[i] = nan;
+
+  for (const index_t k : {index_t{2}, index_t{3}}) {
+    for (const index_t stride : {index_t{1}, index_t{2}}) {
+      for (const index_t pad : {index_t{0}, index_t{1}}) {
+        const Pool2dParams p{k, stride, pad};
+        const auto res = max_pool2d(input, p);
+        const auto eval = max_pool2d(input, p, /*with_argmax=*/false);
+        const index_t ho = res.output.dim(2), wo = res.output.dim(3);
+        std::vector<real_t> want(static_cast<std::size_t>(3 * ho * wo));
+        std::vector<index_t> want_arg(want.size());
+        for (index_t c = 0; c < 3; ++c) {
+          reference_max_pool_plane(x + c * 9 * 11, want.data() + c * ho * wo,
+                                   want_arg.data() + c * ho * wo, 9, 11, ho,
+                                   wo, p);
+        }
+        const std::size_t bytes = want.size() * sizeof(real_t);
+        EXPECT_EQ(0, std::memcmp(res.output.data(), want.data(), bytes))
+            << "k " << k << " stride " << stride << " pad " << pad;
+        EXPECT_EQ(0, std::memcmp(eval.output.data(), want.data(), bytes))
+            << "eval, k " << k << " stride " << stride << " pad " << pad;
+        EXPECT_EQ(res.argmax, want_arg)
+            << "k " << k << " stride " << stride << " pad " << pad;
+      }
+    }
+  }
 }
 
 TEST(AvgPool2d, UniformImageUnchangedInterior) {
