@@ -45,7 +45,8 @@ class SocketTransport final : public Transport {
   bool fill_decoder(double timeout_s) override;
 
  private:
-  std::atomic<int> fd_;
+  const int fd_;  ///< released only by the destructor
+  std::atomic<bool> closed_{false};
   std::atomic<bool> eof_{false};
   const char* kind_name_;
 };
