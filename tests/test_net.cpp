@@ -5,8 +5,10 @@
 // multi-consumer Channel wakeup fix, and the CCOVID_RECV_TIMEOUT
 // plumbing. Runs under `ctest -L fast`.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -344,6 +346,44 @@ TEST(TransportGuard, RecvTimesOutTyped) {
   } catch (const CommError& e) {
     EXPECT_EQ(e.kind(), CommError::Kind::kTimeout);
   }
+}
+
+TEST(TransportGuard, SocketCloseUnblocksParkedRecvAndSend) {
+  // close() from one thread while others sit in recv_for and send on the
+  // same socket: both return promptly, and the descriptor stays owned by
+  // the transport until destruction (ThreadSanitizer checks the last).
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  net::SocketTransport a(fds[0], 0, 1, "unix");
+  net::SocketTransport b(fds[1], 1, 0, "unix");
+  std::optional<Frame> got;
+  double recv_waited_s = 0.0;
+  std::thread reader([&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    got = a.recv_for(5.0);
+    recv_waited_s = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  });
+  // Nobody reads b, so the sender fills the socket buffer and blocks.
+  std::atomic<bool> send_threw{false};
+  std::thread sender([&] {
+    const std::vector<std::uint8_t> chunk(64 * 1024, 7);
+    try {
+      for (;;) a.send(FrameType::kData, chunk);
+    } catch (const CommError&) {
+      send_threw.store(true);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  a.close();
+  reader.join();
+  sender.join();
+  EXPECT_FALSE(got.has_value());
+  EXPECT_LT(recv_waited_s, 2.0);
+  EXPECT_TRUE(send_threw.load());
+  EXPECT_FALSE(a.open());
+  EXPECT_THROW(a.send(FrameType::kData, {1}), CommError);
 }
 
 // --------------------------------------------------- channel wakeup
