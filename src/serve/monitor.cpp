@@ -25,14 +25,14 @@ std::uint64_t ResultCache::scan_key(const Tensor& volume_hu,
                                     bool use_enhancement, double threshold,
                                     core::Precision precision,
                                     bool graph_fusion, std::uint64_t epoch) {
+  return fold_key(volume_digest(volume_hu), use_enhancement, threshold,
+                  precision, graph_fusion, epoch);
+}
+
+std::uint64_t ResultCache::volume_digest(const Tensor& volume_hu) {
   // Volume bytes first (the bulk, through the word-parallel XXH64),
-  // then its shape and every serving knob the output bits depend on,
-  // folded in with FNV-1a. Equal bytes under a different shape are a
-  // different scan. fp32 results ARE fusion-invariant (the graph
-  // compiler's bitwise contract, DESIGN.md §12) but low-precision ones
-  // are not (DESIGN.md §13), so the fusion flag is always folded in —
-  // a key that is conservatively narrow costs a few extra misses, never
-  // a wrong hit.
+  // then its shape: equal bytes under a different shape are a
+  // different scan.
   const std::size_t bytes =
       volume_hu.defined()
           ? static_cast<std::size_t>(volume_hu.numel()) * sizeof(real_t)
@@ -42,6 +42,19 @@ std::uint64_t ResultCache::scan_key(const Tensor& volume_hu,
     const index_t extent = volume_hu.dim(d);
     h = fnv1a64(&extent, sizeof(extent), h);
   }
+  return h;
+}
+
+std::uint64_t ResultCache::fold_key(std::uint64_t volume_digest,
+                                    bool use_enhancement, double threshold,
+                                    core::Precision precision,
+                                    bool graph_fusion, std::uint64_t epoch) {
+  // Every serving knob the output bits depend on, folded in with FNV-1a.
+  // fp32 results ARE fusion-invariant (the graph compiler's bitwise
+  // contract, DESIGN.md §12) but low-precision ones are not (DESIGN.md
+  // §13), so the fusion flag is always folded in — a key that is
+  // conservatively narrow costs a few extra misses, never a wrong hit.
+  std::uint64_t h = volume_digest;
   const std::uint8_t flags =
       static_cast<std::uint8_t>((use_enhancement ? 1 : 0) |
                                 (graph_fusion ? 2 : 0));
