@@ -264,8 +264,8 @@ int run_scaling_sweep(const std::string& path, bool trace_on) {
       bench::bench_inference_config(false, &ddnet_px);
 
   // Graph-fusion pair: the same seeded network timed as (a) the
-  // op-by-op module walk with fusion forced off — the pre-graph
-  // production path — and (b) the compiled fused graph. Construction
+  // op-by-op module walk — the pre-graph production path, now the
+  // training path — and (b) the compiled fused graph. Construction
   // and compilation sit outside the timed region, matching steady-state
   // serving where both are built once and reused per request.
   nn::seed_init_rng(7);
@@ -317,8 +317,10 @@ int run_scaling_sweep(const std::string& path, bool trace_on) {
                ddnet_cfg, ddnet_px, ddnet_px, ops::KernelOptions::all()));
          })});
     rows.push_back({"ddnet_forward_128_module", t, time_ns_per_iter([&] {
-                      graph::FusionGuard off(false);
-                      benchmark::DoNotOptimize(ddnet_net.enhance(ddnet_img));
+                      autograd::NoGradGuard no_grad;
+                      autograd::Var in(ddnet_in.clone());
+                      benchmark::DoNotOptimize(
+                          ddnet_net.forward(in).value().clone());
                     })});
     rows.push_back({"ddnet_forward_128_fused", t, time_ns_per_iter([&] {
                       benchmark::DoNotOptimize(ddnet_graph.run(ddnet_in));

@@ -1,5 +1,5 @@
 // Shared environment-variable parsing for the runtime knobs
-// (CCOVID_SIMD, CCOVID_GRAPH_FUSION, CCOVID_PRECISION, ...).
+// (CCOVID_SIMD, CCOVID_PRECISION, CCOVID_COLLECTIVE, ...).
 //
 // Every knob goes through env_choice() so that an unknown value warns
 // ONCE on stderr — naming the variable, the offending value, the

@@ -1,12 +1,10 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 
-#include "core/env.h"
 #include "ops/activations.h"
 #include "ops/batchnorm.h"
 #include "ops/concat.h"
@@ -14,39 +12,6 @@
 #include "ops/deconv2d.h"
 
 namespace ccovid::graph {
-
-// ------------------------------------------------------------- flag
-
-namespace {
-
-// -1 = uninitialized (read CCOVID_GRAPH_FUSION on first query).
-std::atomic<int> g_fusion{-1};
-
-bool fusion_from_env() {
-  // Through the shared env helper: unknown spellings warn once and
-  // fall back to the default (fusion on).
-  const auto v = env::choice(
-      "CCOVID_GRAPH_FUSION",
-      {"0", "off", "false", "1", "on", "true"}, "on");
-  if (!v) return true;
-  return !(*v == "0" || *v == "off" || *v == "false");
-}
-
-}  // namespace
-
-bool fusion_enabled() {
-  int v = g_fusion.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const bool b = fusion_from_env();
-    g_fusion.store(b ? 1 : 0, std::memory_order_relaxed);
-    return b;
-  }
-  return v == 1;
-}
-
-void set_fusion_enabled(bool on) {
-  g_fusion.store(on ? 1 : 0, std::memory_order_relaxed);
-}
 
 // --------------------------------------------------------------- IR
 

@@ -53,26 +53,10 @@ namespace ccovid::graph {
 
 // ------------------------------------------------------------- flag
 
-/// Global fusion switch, initialized once from CCOVID_GRAPH_FUSION
-/// (0/off/false disable; anything else — including unset — enables).
-/// The `--graph-fusion on|off` CLI flag maps here. When off, networks
-/// fall back to the op-by-op module interpreter.
-bool fusion_enabled();
-void set_fusion_enabled(bool on);
-
-/// RAII override of the fusion flag (tests compare on/off digests).
-class FusionGuard {
- public:
-  explicit FusionGuard(bool on) : prev_(fusion_enabled()) {
-    set_fusion_enabled(on);
-  }
-  ~FusionGuard() { set_fusion_enabled(prev_); }
-  FusionGuard(const FusionGuard&) = delete;
-  FusionGuard& operator=(const FusionGuard&) = delete;
-
- private:
-  bool prev_;
-};
+/// Always true: eval-mode networks with frozen statistics always run
+/// their compiled graph. Kept only for callers outside src that still
+/// report it; no code here branches on it.
+inline bool fusion_enabled() { return true; }
 
 // --------------------------------------------------------------- IR
 

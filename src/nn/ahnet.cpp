@@ -118,9 +118,8 @@ Tensor AhNet::segment_volume(const Tensor& volume) const {
         const index_t h = slice.dim(0), w = slice.dim(1);
         const Tensor in = slice.reshape({1, 1, h, w});
         const Tensor logits =
-            eval && graph::fusion_enabled()
-                ? compiled_for(h, w, core::Precision::kF32)->run(in)
-                : forward(Var(in)).value();
+            eval ? compiled_for(h, w, core::Precision::kF32)->run(in)
+                 : forward(Var(in)).value();
         const real_t* lp = logits.data();
         for (index_t i = 0; i < h * w; ++i) {
           mp[i] = lp[i] > 0.0f ? 1.0f : 0.0f;

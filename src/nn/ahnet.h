@@ -35,10 +35,10 @@ class AhNet : public CompiledNetwork {
 
   /// Segments a full volume (D, H, W) slice-wise into a binary mask
   /// using threshold 0.5 on the sigmoid output; no gradients. Slices
-  /// run through nn::map_slices. In eval mode with graph fusion enabled
-  /// each slice runs the compiled graph — always fp32, whatever
-  /// core::active_precision() says — bitwise equal to forward(), with
-  /// frozen or per-sample batch-norm statistics alike.
+  /// run through nn::map_slices. In eval mode each slice runs the
+  /// compiled graph — always fp32, whatever core::active_precision()
+  /// says — bitwise equal to forward(), with frozen or per-sample
+  /// batch-norm statistics alike.
   Tensor segment_volume(const Tensor& volume) const;
 
   /// Captures the eval-mode forward pass as a graph IR for an

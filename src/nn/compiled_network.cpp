@@ -9,13 +9,9 @@ namespace ccovid::nn {
 
 std::shared_ptr<graph::CompiledGraph> CompiledNetwork::compiled_for(
     index_t h, index_t w, core::Precision prec) const {
-  // h/w are CT image extents (< 2^30), so the precision and fusion
-  // tags fit in the top bits of the cache key. Fusion matters for the
-  // key because low-precision results — unlike fp32, which is bitwise
-  // fusion-invariant — round at different step boundaries per mode.
-  const bool fuse = graph::fusion_enabled();
+  // h/w are CT image extents (< 2^30), so the precision tag fits in
+  // the top bits of the cache key.
   const std::uint64_t key = (std::uint64_t(int(prec)) << 61) |
-                            (std::uint64_t(fuse) << 60) |
                             (std::uint64_t(std::uint32_t(h)) << 30) |
                             std::uint64_t(std::uint32_t(w));
   std::lock_guard<std::mutex> lock(graph_mu_);
@@ -23,7 +19,6 @@ std::shared_ptr<graph::CompiledGraph> CompiledNetwork::compiled_for(
   if (it != graph_cache_.end()) return it->second;
   graph::Graph g = build_graph(1, h, w);
   graph::CompileOptions opt;
-  opt.fuse = fuse;
   opt.precision = prec;
   if (prec == core::Precision::kInt8) {
     // Seeded synthetic calibration batch: CT slices are normalized to

@@ -27,9 +27,9 @@ class CompiledNetwork : public Module {
   virtual graph::Graph build_graph(index_t n, index_t h, index_t w) const = 0;
 
  protected:
-  /// build_graph(1, h, w) compiled at storage precision `prec` under the
-  /// current fusion flag, on first use; later calls with the same key
-  /// share it. Thread-safe: serve workers share one network. int8
+  /// build_graph(1, h, w) compiled (fused) at storage precision `prec`
+  /// on first use; later calls with the same key share it.
+  /// Thread-safe: serve workers share one network. int8
   /// scales come from a seeded synthetic calibration batch (uniform
   /// [0, 1] images, the range slices are normalized to), so the
   /// quantized graph is the same on every host.

@@ -164,14 +164,13 @@ Tensor DDnet::enhance(const Tensor& image) const {
   // set_active_precision (serve --precision toggles) can never mix
   // formats within a single enhance() call.
   const core::Precision prec = core::active_precision();
-  // Fast path: compiled fusion graph (eval-mode only — training mode
-  // and batch-stats-always both change the batch-norm semantics the
-  // capture froze). At fp32 this is bitwise identical to the module
-  // walk below; fp16/bf16/int8 swap the storage format of weights and
-  // intermediates (DESIGN.md §13) and only exist on the graph path, so
-  // they route here regardless of the fusion flag (compile honors it).
-  if (!training() && !batch_stats_always() &&
-      (graph::fusion_enabled() || prec != core::Precision::kF32)) {
+  // Eval mode with frozen statistics runs the compiled graph; training
+  // mode and batch-stats-always both change the batch-norm semantics
+  // the capture froze, so they take the module walk below. At fp32 the
+  // graph is bitwise identical to the walk; fp16/bf16/int8 swap the
+  // storage format of weights and intermediates (DESIGN.md §13) and
+  // only exist on the graph path.
+  if (!training() && !batch_stats_always()) {
     auto cg = compiled_for(image.dim(0), image.dim(1), prec);
     Tensor in = image.clone().reshape({1, 1, image.dim(0), image.dim(1)});
     return cg->run(in).reshape({image.dim(0), image.dim(1)});

@@ -54,9 +54,9 @@ class DDnet : public CompiledNetwork {
   Var forward(const Var& x) const;
 
   /// Convenience for single 2-D images: (H, W) -> (H, W), no gradients.
-  /// In eval mode with frozen batch statistics and graph::fusion_enabled()
-  /// this dispatches through a cached compiled fusion graph (bitwise
-  /// identical to forward(); see graph/graph.h). core::active_precision()
+  /// In eval mode with frozen batch statistics this dispatches through
+  /// a cached compiled fusion graph (bitwise identical to forward();
+  /// see graph/graph.h). core::active_precision()
   /// is sampled once per call: fp16/bf16/int8 run the low-precision
   /// storage pipeline of DESIGN.md §13 on the graph path (int8 scales
   /// come from a seeded synthetic calibration batch, cached per shape);

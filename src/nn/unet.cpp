@@ -111,7 +111,7 @@ Tensor UNetDenoiser::enhance(const Tensor& image) const {
   if (image.rank() != 2) {
     throw std::invalid_argument("UNetDenoiser::enhance: expected (H, W)");
   }
-  if (!training() && !batch_stats_always() && graph::fusion_enabled()) {
+  if (!training() && !batch_stats_always()) {
     auto cg =
         compiled_for(image.dim(0), image.dim(1), core::Precision::kF32);
     Tensor in = image.clone().reshape({1, 1, image.dim(0), image.dim(1)});

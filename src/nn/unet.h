@@ -29,8 +29,8 @@ class UNetDenoiser : public CompiledNetwork {
   Var forward(const Var& x) const;
 
   /// Single-image convenience, no gradients. Eval mode with frozen
-  /// batch statistics and fusion enabled runs the compiled graph
-  /// (bitwise identical; graph/graph.h).
+  /// batch statistics runs the compiled graph (bitwise identical;
+  /// graph/graph.h).
   Tensor enhance(const Tensor& image) const;
 
   /// Captures the eval-mode forward pass as a graph IR.

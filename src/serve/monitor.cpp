@@ -50,10 +50,6 @@ std::uint64_t ResultCache::fold_key(std::uint64_t volume_digest,
                                     core::Precision precision,
                                     bool graph_fusion, std::uint64_t epoch) {
   // Every serving knob the output bits depend on, folded in with FNV-1a.
-  // fp32 results ARE fusion-invariant (the graph compiler's bitwise
-  // contract, DESIGN.md §12) but low-precision ones are not (DESIGN.md
-  // §13), so the fusion flag is always folded in — a key that is
-  // conservatively narrow costs a few extra misses, never a wrong hit.
   std::uint64_t h = volume_digest;
   const std::uint8_t flags =
       static_cast<std::uint8_t>((use_enhancement ? 1 : 0) |

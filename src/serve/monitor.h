@@ -5,8 +5,7 @@
 //
 //   submit(patient, scan) ──► ScanKey = XXH64(volume bytes)
 //                                       ⊕ enhancement ⊕ threshold bits
-//                                       ⊕ precision ⊕ graph fusion
-//                                       ⊕ cache epoch
+//                                       ⊕ precision ⊕ cache epoch
 //                               │
 //                   ┌───────────┴───────────┐
 //                   ▼ hit (self-digest ok)  ▼ miss / poisoned / evicted
@@ -23,7 +22,7 @@
 //
 //   - a hit returns the EXACT bits a recomputation would produce: the
 //     key covers every input the pipeline result depends on (volume
-//     bytes, workflow shape, storage precision, fusion flag), and keys
+//     bytes, workflow shape, storage precision), and keys
 //     carry the cache epoch so entries computed under a retired
 //     configuration can never be read back;
 //   - entries self-verify: each stores an FNV digest of its payload,
@@ -128,7 +127,9 @@ class ResultCache {
   static std::uint64_t volume_digest(const Tensor& volume_hu);
 
   /// The cheap half of scan_key: folds the serving knobs and `epoch`
-  /// into a volume_digest.
+  /// into a volume_digest. The server always passes `graph_fusion`
+  /// true (networks always run their fused graph); the field stays so
+  /// that the key bits do not move.
   static std::uint64_t fold_key(std::uint64_t volume_digest,
                                 bool use_enhancement, double threshold,
                                 core::Precision precision, bool graph_fusion,

@@ -24,7 +24,7 @@ enum class RequestStatus {
   kRejected,  ///< admission queue full (backpressure fast-fail)
   kTimedOut,  ///< deadline expired before a worker picked the batch up
   kShutdown,  ///< submitted after shutdown began
-  kError,     ///< pipeline threw (unknown session, bad volume, ...)
+  kError,     ///< pipeline threw (bad volume, injected fault, ...)
 };
 
 inline const char* to_string(RequestStatus s) {
@@ -39,8 +39,7 @@ inline const char* to_string(RequestStatus s) {
 }
 
 struct ServeOptions {
-  std::string session = "default";  ///< model set in the SessionRegistry
-  bool use_enhancement = true;      ///< run the DDnet stage (§5.2.3 knob)
+  bool use_enhancement = true;  ///< run the DDnet stage (§5.2.3 knob)
   double threshold = 0.5;
   /// Drop the request unexecuted if it waits longer than this before a
   /// worker starts its batch. zero = no deadline.
@@ -109,12 +108,11 @@ struct Request {
            now - submit_time > options.deadline;
   }
 
-  /// Two requests may share a micro-batch when they hit the same model
-  /// session with the same workflow shape (enhancement on/off). The
-  /// decision threshold is per-request and does not affect batching.
+  /// Two requests may share a micro-batch when they have the same
+  /// workflow shape (enhancement on/off). The decision threshold is
+  /// per-request and does not affect batching.
   bool compatible(const Request& other) const {
-    return options.session == other.options.session &&
-           options.use_enhancement == other.options.use_enhancement;
+    return options.use_enhancement == other.options.use_enhancement;
   }
 };
 

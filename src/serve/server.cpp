@@ -2,42 +2,24 @@
 
 #include <exception>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "core/finite.h"
 #include "core/precision.h"
 #include "fault/failpoint.h"
-#include "graph/graph.h"
 #include "trace/export.h"
 #include "trace/trace.h"
 
 namespace ccovid::serve {
 
-void SessionRegistry::add(
-    const std::string& name,
-    std::shared_ptr<const pipeline::ComputeCovid19Pipeline> p) {
-  std::lock_guard<std::mutex> lock(mu_);
-  sessions_[name] = std::move(p);
-}
-
-std::shared_ptr<const pipeline::ComputeCovid19Pipeline>
-SessionRegistry::find(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(name);
-  return it == sessions_.end() ? nullptr : it->second;
-}
-
-std::vector<std::string> SessionRegistry::names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(sessions_.size());
-  for (const auto& [name, p] : sessions_) out.push_back(name);
-  return out;
-}
-
-InferenceServer::InferenceServer(SessionRegistry registry, ServerOptions opt)
+InferenceServer::InferenceServer(
+    std::shared_ptr<const pipeline::ComputeCovid19Pipeline> pipeline,
+    ServerOptions opt)
     : opt_(opt),
-      registry_(std::move(registry)),
+      pipeline_(pipeline ? std::move(pipeline)
+                         : throw std::invalid_argument(
+                               "InferenceServer: null pipeline")),
       queue_(opt.queue_capacity),
       batcher_(queue_, BatcherOptions{opt.max_batch, opt.batch_delay}),
       // Pool backlog of 1: the batcher pre-stages at most one batch, so
@@ -48,17 +30,6 @@ InferenceServer::InferenceServer(SessionRegistry registry, ServerOptions opt)
   if (opt_.monitor) monitor_ = std::make_unique<Monitor>(opt_.monitor_opts);
   batcher_thread_ = std::thread([this] { batcher_loop(); });
 }
-
-InferenceServer::InferenceServer(
-    std::shared_ptr<const pipeline::ComputeCovid19Pipeline> pipeline,
-    ServerOptions opt)
-    : InferenceServer(
-          [&pipeline] {
-            SessionRegistry r;
-            r.add("default", std::move(pipeline));
-            return r;
-          }(),
-          opt) {}
 
 InferenceServer::~InferenceServer() { shutdown(); }
 
@@ -187,22 +158,6 @@ void InferenceServer::execute_batch(std::vector<RequestPtr> batch) {
   }
   if (live.empty()) return;
 
-  auto fail = [&](std::size_t i, const std::string& message) {
-    stats_.failed.fetch_add(1, std::memory_order_relaxed);
-    DiagnoseResponse r;
-    r.status = RequestStatus::kError;
-    r.error = message;
-    respond(std::move(live[i]), std::move(r));
-  };
-
-  const auto model = registry_.find(live.front()->options.session);
-  if (!model) {
-    const std::string message =
-        "unknown session: " + live.front()->options.session;
-    for (std::size_t i = 0; i < live.size(); ++i) fail(i, message);
-    return;
-  }
-
   // Result cache (monitoring mode): sample epoch + configuration ONCE
   // per batch, before any key, and pass the same epoch to insert —
   // invalidations racing this batch retire its keys, so its inserts are
@@ -215,11 +170,11 @@ void InferenceServer::execute_batch(std::vector<RequestPtr> batch) {
   if (monitor_) {
     epoch = monitor_->cache().epoch();
     const core::Precision precision = core::active_precision();
-    const bool fusion = graph::fusion_enabled();
     for (std::size_t i = 0; i < live.size(); ++i) {
       keys[i] = ResultCache::fold_key(
           live[i]->volume_digest, live[i]->options.use_enhancement,
-          live[i]->options.threshold, precision, fusion, epoch);
+          live[i]->options.threshold, precision, /*graph_fusion=*/true,
+          epoch);
       cached[i] = monitor_->cache().lookup(keys[i]);
     }
   }
@@ -258,7 +213,7 @@ void InferenceServer::execute_batch(std::vector<RequestPtr> batch) {
         }
       }
       times.clear();
-      results = model->diagnose_batch(items, &times);
+      results = pipeline_->diagnose_batch(items, &times);
       break;
     } catch (const std::exception& e) {
       ++attempts_failed;
@@ -316,19 +271,25 @@ void InferenceServer::execute_batch(std::vector<RequestPtr> batch) {
 
   for (std::size_t i = 0; i < live.size(); ++i) {
     const std::size_t j = item_index[i];
-    if (failure && j != kNoItem) {
-      fail(i, *failure);
-      continue;
-    }
-    TRACE_SPAN_ID("serve.respond", live[i]->id);
-    stats_.completed.fetch_add(1, std::memory_order_relaxed);
+    // Every request of the batch, failed or not, reports the batch's
+    // queue wait, execution time and size.
     DiagnoseResponse r;
-    r.status = RequestStatus::kOk;
     r.queue_s = std::chrono::duration<double>(exec_start -
                                               live[i]->submit_time)
                     .count();
     r.execute_s = execute_s;
     r.batch_size = live.size();
+    stats_.queue_wait.record(r.queue_s);
+    if (failure && j != kNoItem) {
+      stats_.failed.fetch_add(1, std::memory_order_relaxed);
+      r.status = RequestStatus::kError;
+      r.error = *failure;
+      respond(std::move(live[i]), std::move(r));
+      continue;
+    }
+    TRACE_SPAN_ID("serve.respond", live[i]->id);
+    stats_.completed.fetch_add(1, std::memory_order_relaxed);
+    r.status = RequestStatus::kOk;
 
     if (j == kNoItem) {
       // Cache hit: reconstruct the diagnosis from the verified entry —
@@ -379,7 +340,6 @@ void InferenceServer::execute_batch(std::vector<RequestPtr> batch) {
       r.baseline_delta = d.delta_vs_baseline;
     }
 
-    stats_.queue_wait.record(r.queue_s);
     stats_.execute.record(execute_s);
 
     const Clock::time_point done = Clock::now();

@@ -13,10 +13,10 @@
 //             promise fulfilment + ServerStats
 //
 // Model weights are shared immutably: every worker reads the same
-// pipeline instance out of the SessionRegistry (inference is const and
-// eval-mode networks are never written — see pipeline/framework.h), so
-// N workers cost one copy of the weights. Per-request scratch lives on
-// the worker's stack, and each worker's kernels run single-threaded
+// pipeline instance (inference is const and eval-mode networks are
+// never written — see pipeline/framework.h), so N workers cost one copy
+// of the weights. Per-request scratch lives on the worker's stack, and
+// each worker's kernels run single-threaded
 // (core/parallel thread pin), which keeps diagnoses bitwise-identical
 // for any worker count and any batch composition.
 //
@@ -26,7 +26,6 @@
 
 #include <atomic>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -41,31 +40,6 @@
 #include "serve/worker_pool.h"
 
 namespace ccovid::serve {
-
-/// Named, immutable model sets. Registered pipelines must already be in
-/// eval mode (every network set_training(false)); the registry hands out
-/// shared const pointers so workers can only read.
-class SessionRegistry {
- public:
-  SessionRegistry() = default;
-  /// Movable so a populated registry can be handed to the server (the
-  /// mutex member deletes the default move).
-  SessionRegistry(SessionRegistry&& other) noexcept {
-    std::lock_guard<std::mutex> lock(other.mu_);
-    sessions_ = std::move(other.sessions_);
-  }
-
-  void add(const std::string& name,
-           std::shared_ptr<const pipeline::ComputeCovid19Pipeline> p);
-  std::shared_ptr<const pipeline::ComputeCovid19Pipeline> find(
-      const std::string& name) const;
-  std::vector<std::string> names() const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::shared_ptr<const pipeline::ComputeCovid19Pipeline>>
-      sessions_;
-};
 
 struct ServerOptions {
   std::size_t queue_capacity = 64;  ///< admission queue bound
@@ -103,8 +77,9 @@ struct ServerOptions {
 
 class InferenceServer {
  public:
-  InferenceServer(SessionRegistry registry, ServerOptions opt);
-  /// Single-model convenience: registers `pipeline` as "default".
+  /// `pipeline` must already be in eval mode (every network
+  /// set_training(false)); workers only read it through the const
+  /// pointer.
   InferenceServer(
       std::shared_ptr<const pipeline::ComputeCovid19Pipeline> pipeline,
       ServerOptions opt);
@@ -145,7 +120,7 @@ class InferenceServer {
   static void respond(RequestPtr req, DiagnoseResponse r);
 
   ServerOptions opt_;
-  SessionRegistry registry_;
+  std::shared_ptr<const pipeline::ComputeCovid19Pipeline> pipeline_;
   std::unique_ptr<Monitor> monitor_;  ///< null unless opt_.monitor
   ServerStats stats_;
   BoundedQueue<RequestPtr> queue_;

@@ -90,7 +90,6 @@ TEST(Arena, EmptyArenaReplacesChunksInsteadOfAppending) {
 TEST(Arena, FootprintAfterEnhanceAndSegmentIsTheLargerPlan) {
   // fp32 graphs take no scratch beyond their slab block.
   const core::PrecisionGuard fp32(core::Precision::kF32);
-  graph::FusionGuard fused(true);
   nn::seed_init_rng(3);
   pipeline::EnhancementAI enh(nn::DDnetConfig::tiny());
   pipeline::SegmentationAI seg;
@@ -202,20 +201,16 @@ TEST(AllocCache, DdnetEnhanceSteadyStateIsAllocationFree) {
 
 TEST(AllocCache, SegmentVolumeSteadyStateIsAllocationFree) {
   ParallelPin pin(1);
-  for (const bool fusion : {true, false}) {
-    graph::FusionGuard guard(fusion);
-    nn::seed_init_rng(3);
-    pipeline::SegmentationAI seg;
-    seg.network().set_training(false);
-    Tensor vol({3, 16, 16});
-    Rng rng(5);
-    rng.fill_uniform(vol, 0.0, 1.0);
-    const std::uint64_t fresh = fresh_allocs_steady_state(
-        3, 8, [&] { Tensor mask = seg.segment(vol); });
-    EXPECT_EQ(fresh, 0u) << "segment_volume allocated from the system "
-                            "heap in steady state, fusion "
-                         << fusion;
-  }
+  nn::seed_init_rng(3);
+  pipeline::SegmentationAI seg;
+  seg.network().set_training(false);
+  Tensor vol({3, 16, 16});
+  Rng rng(5);
+  rng.fill_uniform(vol, 0.0, 1.0);
+  const std::uint64_t fresh = fresh_allocs_steady_state(
+      3, 8, [&] { Tensor mask = seg.segment(vol); });
+  EXPECT_EQ(fresh, 0u) << "segment_volume allocated from the system "
+                          "heap in steady state";
 }
 
 // --------------------------------------------- steady-state: serving

@@ -493,6 +493,69 @@ TEST(Serialize, EveryTruncationThrows) {
   std::remove(path.c_str());
 }
 
+// Flips each bit of each byte of `full` in turn, header bytes included,
+// writes the result to `path` and loads it: every load either returns
+// or throws std::runtime_error. Under asan the sweep also shows that no
+// flip reads out of bounds or allocates from an unchecked length.
+template <typename Load>
+void expect_every_bit_flip_loads_or_throws(const std::string& full,
+                                           const std::string& path,
+                                           Load&& load) {
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = full;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      write_bytes(path, flipped);
+      try {
+        load(path);
+      } catch (const std::runtime_error&) {
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "byte " << i << ", bit " << bit
+                      << ": threw a non-runtime_error: " << e.what();
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(Serialize, EveryBitFlipLoadsOrThrows) {
+  const std::string path =
+      std::filesystem::temp_directory_path() / "ccovid_flip_src.tnsr";
+  Rng rng(41);
+  TensorMap m;
+  m["a"] = Tensor({2, 2});
+  m["b.weight"] = Tensor({3});
+  for (auto& kv : m) rng.fill_uniform(kv.second, -1.0, 1.0);
+  save_tensor_map(path, m);
+  const std::string full = read_bytes(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(full.size(), 93u);  // 65 header bytes, 7 floats
+  expect_every_bit_flip_loads_or_throws(
+      full, std::filesystem::temp_directory_path() / "ccovid_flip.tnsr",
+      [](const std::string& p) { load_tensor_map(p); });
+}
+
+TEST(ImageIO, PgmEveryBitFlipLoadsOrThrows) {
+  const std::string path =
+      std::filesystem::temp_directory_path() / "ccovid_flip_src.pgm";
+  Rng rng(43);
+  Tensor img({5, 7});
+  rng.fill_uniform(img, 0.0, 1.0);
+  write_pgm(path, img, 0.0f, 1.0f);
+  const std::string full = read_bytes(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(full.size(), 46u);  // "P5\n7 5\n255\n", then 35 pixels
+  expect_every_bit_flip_loads_or_throws(
+      full, std::filesystem::temp_directory_path() / "ccovid_flip.pgm",
+      [](const std::string& p) { read_pgm(p); });
+}
+
 
 // --------------------------------------------------------------- XXH64
 

@@ -92,39 +92,35 @@ void check_golden(const std::string& name, std::uint64_t digest) {
       << "; otherwise this is a regression.";
 }
 
-// Computes `body()`'s digest under graph fusion on AND off, at kernel
-// widths 1, 2 and 8 — each combination once with tracing off and once
-// fully enabled (level 2, which also records task-engine scheduling
-// events) — asserts all twelve agree bitwise, and returns the shared
-// value for the golden comparison. Width independence is the engine's
-// partition contract; fusion independence is the graph compiler's
-// bitwise contract (graph/graph.h: the fused executor replays the
-// op-by-op interpreter exactly); trace independence is the tracing
-// subsystem's only-reads-clocks contract (spans must never perturb
-// numerics).
+// Computes `body()`'s digest at kernel widths 1, 2 and 8 — each width
+// once with tracing off and once fully enabled (level 2, which also
+// records task-engine scheduling events) — asserts all six agree
+// bitwise, and returns the shared value for the golden comparison.
+// Width independence is the engine's partition contract; trace
+// independence is the tracing subsystem's only-reads-clocks contract
+// (spans must never perturb numerics). The low-precision formats have
+// no fp32 history to match, so their digests ARE their numeric
+// contract — across task widths, trace levels and (via the CI backend
+// sweep) SIMD backends.
 template <typename Body>
 std::uint64_t digest_across_widths(Body&& body) {
   std::uint64_t at1 = 0;
   bool have_reference = false;
-  for (const bool fusion : {true, false}) {
-    graph::FusionGuard guard(fusion);
-    for (const int width : {1, 2, 8}) {
-      ParallelPin pin(width);
-      for (const int trace_level : {0, 2}) {
-        trace::set_level(trace_level);
-        const std::uint64_t h = body();
-        trace::set_level(0);
-        if (!have_reference) {
-          at1 = h;
-          have_reference = true;
-        } else {
-          EXPECT_EQ(hex64(h), hex64(at1))
-              << "digest moved at fusion " << (fusion ? "on" : "off")
-              << ", width " << width << ", trace level " << trace_level
-              << ": either the fused graph diverged from the op-by-op "
-                 "interpreter, the chunk partition leaked thread count "
-                 "into the numerics, or tracing perturbed a kernel";
-        }
+  for (const int width : {1, 2, 8}) {
+    ParallelPin pin(width);
+    for (const int trace_level : {0, 2}) {
+      trace::set_level(trace_level);
+      const std::uint64_t h = body();
+      trace::set_level(0);
+      if (!have_reference) {
+        at1 = h;
+        have_reference = true;
+      } else {
+        EXPECT_EQ(hex64(h), hex64(at1))
+            << "digest moved at width " << width << ", trace level "
+            << trace_level
+            << ": either the chunk partition leaked thread count into "
+               "the numerics, or tracing perturbed a kernel";
       }
     }
   }
@@ -147,44 +143,8 @@ TEST(Golden, DdnetForward) {
   check_golden("ddnet_forward_tiny_s3_in16", h);
 }
 
-// Computes `body()`'s digest at kernel widths 1, 2 and 8, each with
-// tracing off and at level 2, and asserts all six agree. The
-// low-precision formats have no fp32 history to match, so their digests
-// ARE their numeric contract — across task widths, trace levels and
-// (via the CI backend sweep) SIMD backends. Unlike fp32, a
-// low-precision result is NOT fusion-invariant (values round to the
-// storage format at different step boundaries per mode), so fusion is
-// pinned by the caller and width / trace invariance is asserted on its
-// own.
-template <typename Body>
-std::uint64_t lowp_digest_across_widths(const std::string& what,
-                                        Body&& body) {
-  std::uint64_t at1 = 0;
-  bool have_reference = false;
-  for (const int width : {1, 2, 8}) {
-    ParallelPin pin(width);
-    for (const int trace_level : {0, 2}) {
-      trace::set_level(trace_level);
-      const std::uint64_t h = body();
-      trace::set_level(0);
-      if (!have_reference) {
-        at1 = h;
-        have_reference = true;
-      } else {
-        EXPECT_EQ(hex64(h), hex64(at1))
-            << what << " digest moved at width " << width
-            << ", trace level " << trace_level
-            << ": the low-precision executor leaked thread count or "
-               "tracing into the numerics";
-      }
-    }
-  }
-  trace::clear();
-  return at1;
-}
-
 // Per-precision digests of the SAME tiny DDnet forward on the
-// compiled-graph path, with fusion on — the mode the serve path runs.
+// compiled-graph path, the path the serve runtime runs.
 TEST(Golden, DdnetForwardLowPrecision) {
   nn::seed_init_rng(3);
   nn::DDnet net(nn::DDnetConfig::tiny());
@@ -196,11 +156,11 @@ TEST(Golden, DdnetForwardLowPrecision) {
        {core::Precision::kF16, core::Precision::kBf16,
         core::Precision::kInt8}) {
     const core::PrecisionGuard pguard(prec);
-    graph::FusionGuard fguard(true);
     const std::string name = std::string("ddnet_forward_tiny_s3_in16_") +
                              core::precision_name(prec);
-    check_golden(name, lowp_digest_across_widths(
-                           name, [&] { return fnv1a64(net.enhance(x)); }));
+    SCOPED_TRACE(name);
+    check_golden(name, digest_across_widths(
+                           [&] { return fnv1a64(net.enhance(x)); }));
   }
 }
 
@@ -231,7 +191,8 @@ TEST(Golden, GraphFuzzLowPrecision) {
       const std::string name = std::string("graph_fuzz12_") +
                                core::precision_name(prec) +
                                (fuse ? "_fused" : "_unfused");
-      check_golden(name, lowp_digest_across_widths(name, [&] {
+      SCOPED_TRACE(name);
+      check_golden(name, digest_across_widths([&] {
                      std::uint64_t d = kFnv1aOffset;
                      for (size_t i = 0; i < cases.size(); ++i) {
                        d = fnv1a64(compiled[i].run(cases[i].input), d);

@@ -37,7 +37,6 @@ namespace ccovid {
 namespace {
 
 using graph::CompileOptions;
-using graph::FusionGuard;
 using graph::Graph;
 using graph::OpKind;
 using graph::ValueShape;
@@ -195,6 +194,7 @@ std::uint64_t run_digest(const graph::CompiledGraph& cg, const Tensor& in) {
 }
 
 TEST(GraphFusion, DdnetFusedUnfusedReferenceAndModuleAgreeBitwise) {
+  const core::PrecisionGuard fp32(core::Precision::kF32);
   nn::seed_init_rng(3);
   nn::DDnet net(nn::DDnetConfig::tiny());
   net.set_training(false);
@@ -211,20 +211,19 @@ TEST(GraphFusion, DdnetFusedUnfusedReferenceAndModuleAgreeBitwise) {
 
   std::uint64_t module_digest;
   {
-    FusionGuard off(false);  // force the op-by-op module walk
-    module_digest = fnv1a64(net.enhance(img));
-  }
-  std::uint64_t enhance_fused_digest;
-  {
-    FusionGuard on(true);  // force the compiled-graph fast path
-    enhance_fused_digest = fnv1a64(net.enhance(img));
+    autograd::NoGradGuard no_grad;  // the op-by-op module walk
+    module_digest = fnv1a64(net.forward(autograd::Var(in)).value());
   }
   const std::uint64_t reference_digest = fnv1a64(graph::run_reference(g, in));
 
   EXPECT_EQ(run_digest(unfused, in), module_digest);
   EXPECT_EQ(reference_digest, module_digest);
   EXPECT_EQ(run_digest(fused, in), module_digest);
-  EXPECT_EQ(enhance_fused_digest, module_digest);
+  // enhance() takes the compiled-graph fast path in eval mode.
+  for (const int width : {1, 2, 4, 8}) {
+    ParallelPin pin(width);
+    EXPECT_EQ(fnv1a64(net.enhance(img)), module_digest) << "width " << width;
+  }
 }
 
 TEST(GraphFusion, UnetFusedMatchesModuleBitwise) {
@@ -236,16 +235,17 @@ TEST(GraphFusion, UnetFusedMatchesModuleBitwise) {
   Tensor img({12, 12});
   rng.fill_uniform(img, -1.0f, 1.0f);
 
-  std::uint64_t module_digest, fused_digest;
+  std::uint64_t module_digest;
   {
-    FusionGuard off(false);
-    module_digest = fnv1a64(net.enhance(img));
+    autograd::NoGradGuard no_grad;
+    module_digest = fnv1a64(
+        net.forward(autograd::Var(img.clone().reshape({1, 1, 12, 12})))
+            .value());
   }
-  {
-    FusionGuard on(true);
-    fused_digest = fnv1a64(net.enhance(img));
+  for (const int width : {1, 2, 4, 8}) {
+    ParallelPin pin(width);
+    EXPECT_EQ(fnv1a64(net.enhance(img)), module_digest) << "width " << width;
   }
-  EXPECT_EQ(fused_digest, module_digest);
 }
 
 TEST(GraphFusion, DdnetDigestStableAcrossBackendsAndWidths) {
@@ -489,22 +489,6 @@ TEST(GraphAlloc, BiaslessConvWithFoldedBnHoistsTheBiasConstant) {
   const std::uint64_t fresh =
       fresh_allocs_steady_state(3, 8, [&] { Tensor out = cg.run(x); });
   EXPECT_EQ(fresh, 0u);
-}
-
-// ------------------------------------------------------- fusion flag
-
-TEST(GraphFlag, FusionGuardRestoresPreviousState) {
-  const bool initial = graph::fusion_enabled();
-  {
-    FusionGuard off(false);
-    EXPECT_FALSE(graph::fusion_enabled());
-    {
-      FusionGuard on(true);
-      EXPECT_TRUE(graph::fusion_enabled());
-    }
-    EXPECT_FALSE(graph::fusion_enabled());
-  }
-  EXPECT_EQ(graph::fusion_enabled(), initial);
 }
 
 // ------------------------------------------------------------ fuzzer

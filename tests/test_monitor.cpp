@@ -21,7 +21,6 @@
 #include "core/precision.h"
 #include "data/phantom.h"
 #include "fault/failpoint.h"
-#include "graph/graph.h"
 #include "nn/layers.h"
 #include "serve/monitor.h"
 #include "serve/server.h"
@@ -447,6 +446,12 @@ TEST(MonitorBatch, FailedMissNeverFailsItsBatchsHit) {
   EXPECT_EQ(rs[0].retries, 0) << "a hit never executed";
   EXPECT_EQ(rs[1].status, serve::RequestStatus::kError);
   EXPECT_FALSE(rs[1].cache_hit);
+  // The failed miss rode in the same batch and reports its facts.
+  EXPECT_EQ(rs[1].batch_size, rs[0].batch_size);
+  EXPECT_GT(rs[1].queue_s, 0.0);
+  EXPECT_EQ(rs[1].execute_s, rs[0].execute_s);
+  EXPECT_EQ(server.stats().queue_wait.count(), 3u)
+      << "every picked-up request records its queue wait";
 }
 
 TEST(MonitorBatch, SamePatientHitWaitsForItsEarlierMiss) {
@@ -504,7 +509,7 @@ WidthRun rescan_at_width(int inner_threads, const std::vector<Tensor>& vols) {
     const double x = 0.125 * static_cast<double>(i + 1);
     cache.insert(ResultCache::scan_key(vols[i], true, 0.5,
                                        core::active_precision(),
-                                       graph::fusion_enabled(), cache.epoch()),
+                                       /*graph_fusion=*/true, cache.epoch()),
                  sealed(x, x / 2), cache.epoch());
     scans.push_back({&vols[i], 40 + i});
   }

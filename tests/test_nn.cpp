@@ -14,7 +14,6 @@
 #include "autograd/optim.h"
 #include "core/digest.h"
 #include "core/parallel.h"
-#include "graph/graph.h"
 #include "nn/ahnet.h"
 #include "nn/ddnet.h"
 #include "nn/densenet3d.h"
@@ -329,14 +328,11 @@ TEST(AhNet, SegmentVolumeBitwiseAcrossWidthsDepthsAndPaths) {
       Tensor vol({depth, 16, 16});
       rng.fill_uniform(vol, 0.0, 1.0);
       const std::uint64_t want = fnv1a64(slice_by_slice_mask(net, vol));
-      for (const bool fusion : {true, false}) {
-        graph::FusionGuard guard(fusion);
-        for (const int width : {1, 2, 4, 8}) {
-          ParallelPin pin(width);
-          EXPECT_EQ(fnv1a64(net.segment_volume(vol)), want)
-              << "batch stats " << batch_stats << ", depth " << depth
-              << ", fusion " << fusion << ", width " << width;
-        }
+      for (const int width : {1, 2, 4, 8}) {
+        ParallelPin pin(width);
+        EXPECT_EQ(fnv1a64(net.segment_volume(vol)), want)
+            << "batch stats " << batch_stats << ", depth " << depth
+            << ", width " << width;
       }
     }
   }

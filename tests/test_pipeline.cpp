@@ -5,7 +5,7 @@
 
 #include "core/digest.h"
 #include "core/parallel.h"
-#include "graph/graph.h"
+#include "core/precision.h"
 #include "nn/layers.h"
 #include "pipeline/framework.h"
 
@@ -73,6 +73,9 @@ TEST(EnhancementAI, EnhanceVolumeSliceWise) {
 }
 
 TEST(EnhancementAI, EnhanceVolumeBitwiseAcrossWidthsAndDepths) {
+  // The module walk is fp32: the graph must be too, whatever the
+  // process-wide precision.
+  const core::PrecisionGuard fp32(core::Precision::kF32);
   nn::seed_init_rng(5);
   EnhancementAI ai(tiny_ddnet_cfg());
   ai.network().set_training(false);
@@ -82,23 +85,20 @@ TEST(EnhancementAI, EnhanceVolumeBitwiseAcrossWidthsAndDepths) {
   for (const index_t depth : {1, 3, 5, 6}) {
     Tensor vol({depth, 16, 16});
     rng.fill_uniform(vol, 0.0, 1.0);
-    // Reference: each slice enhanced on its own, one after another.
+    // Reference: the module walk over each slice, one after another.
     Tensor want({depth, 16, 16});
     for (index_t z = 0; z < depth; ++z) {
-      Tensor slice({16, 16});
+      Tensor slice({1, 1, 16, 16});
       std::copy(vol.data() + z * 256, vol.data() + (z + 1) * 256,
                 slice.data());
-      const Tensor e = ai.enhance(slice);
+      autograd::NoGradGuard no_grad;
+      const Tensor e = ai.network().forward(autograd::Var(slice)).value();
       std::copy(e.data(), e.data() + 256, want.data() + z * 256);
     }
-    for (const bool fusion : {true, false}) {
-      graph::FusionGuard guard(fusion);
-      for (const int width : {1, 2, 4, 8}) {
-        ParallelPin pin(width);
-        EXPECT_EQ(fnv1a64(ai.enhance_volume(vol)), fnv1a64(want))
-            << "depth " << depth << ", fusion " << fusion << ", width "
-            << width;
-      }
+    for (const int width : {1, 2, 4, 8}) {
+      ParallelPin pin(width);
+      EXPECT_EQ(fnv1a64(ai.enhance_volume(vol)), fnv1a64(want))
+          << "depth " << depth << ", width " << width;
     }
   }
 }

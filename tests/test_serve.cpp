@@ -338,18 +338,6 @@ TEST(InferenceServer, GracefulShutdownDrainsAdmitted) {
   EXPECT_EQ(server.stats().rejected_shutdown.load(), 1u);
 }
 
-TEST(InferenceServer, UnknownSessionReportsError) {
-  serve::ServerOptions opt;
-  auto vols = tiny_volumes(1);
-  serve::InferenceServer server(tiny_pipeline(), opt);
-  serve::ServeOptions sopt;
-  sopt.session = "no-such-model";
-  const auto r = server.submit(vols[0].hu, sopt).get();
-  EXPECT_EQ(r.status, serve::RequestStatus::kError);
-  EXPECT_FALSE(r.error.empty());
-  server.shutdown();
-}
-
 // The determinism contract: any worker count, any batch composition,
 // bitwise-identical to a direct single-threaded diagnose().
 TEST(InferenceServer, BitwiseDeterministicAcrossWorkerCounts) {

@@ -50,7 +50,6 @@
 
 #include "core/precision.h"
 #include "core/simd.h"
-#include "graph/graph.h"
 #include "data/phantom.h"
 #include "fault/failpoint.h"
 #include "net/error.h"
@@ -125,7 +124,7 @@ void usage() {
       "                    [--no-enhance] [--models DIR] [--json PATH]\n"
       "                    [--failpoints SPECS] [--fault-seed S]\n"
       "                    [--retries N] [--degrade] [--threads N]\n"
-      "                    [--simd MODE] [--graph-fusion on|off]\n"
+      "                    [--simd MODE]\n"
       "                    [--precision fp32|fp16|bf16|int8]\n"
       "                    [--trace-out PATH]\n"
       "                    [--recv-timeout S]\n"
@@ -244,16 +243,6 @@ bool parse(int argc, char** argv, ToolArgs& a) {
         return false;
       }
       core::set_active_precision(p);
-    } else if (!std::strcmp(arg, "--graph-fusion")) {
-      if (!(v = next(arg))) return false;
-      if (!std::strcmp(v, "on")) {
-        graph::set_fusion_enabled(true);
-      } else if (!std::strcmp(v, "off")) {
-        graph::set_fusion_enabled(false);
-      } else {
-        std::fprintf(stderr, "--graph-fusion: expected on|off\n");
-        return false;
-      }
     } else if (!std::strcmp(arg, "--trace-out")) {
       if (!(v = next(arg))) return false;
       a.trace_out = v;
